@@ -56,14 +56,18 @@ def _default_out() -> str:
 
 def _read_config_file(path) -> dict:
     values = {}
-    for lineno, line in enumerate(open(path, encoding="utf-8"), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise InputError(f"{path}:{lineno}: expected key=value")
-        values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise InputError(f"{path}:{lineno}: expected key=value")
+                values[key.strip()] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
@@ -78,12 +82,18 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict]:
             if isinstance(current, bool) or key in ("filter_false_negatives",
                                                     "normalize_entities"):
                 resolved[key] = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, float):
-                resolved[key] = float(value)
-            elif isinstance(current, int):
-                resolved[key] = int(value)
             else:
-                resolved[key] = value
+                convert = str
+                if isinstance(current, float):
+                    convert = float
+                elif isinstance(current, int) or key == "seed":
+                    convert = int
+                try:
+                    resolved[key] = convert(value)
+                except ValueError:
+                    raise InputError(
+                        f"{args.config}: {key}={value!r} is not "
+                        f"{convert.__name__}") from None
     for key in _FLAG_KEYS:
         value = getattr(args, key)
         if value is not None:
@@ -96,22 +106,27 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict]:
     if args.normalize_entities:
         resolved["normalize_entities"] = True
 
-    sampler = SamplerConfig(
-        mode=resolved["mode"],
-        negatives_per_positive=resolved["negatives"],
-        filter_false_negatives=bool(
-            resolved.get("filter_false_negatives", False)),
-        seed=resolved["seed"],
-    )
-    config = TrainConfig(
-        loss=resolved["loss"], margin=resolved["margin"], p=resolved["p"],
-        learning_rate=resolved["learning_rate"],
-        batch_size=resolved["batch_size"], dim=resolved["dim"],
-        max_steps=resolved["max_steps"], eval_every=resolved["eval_every"],
-        patience=resolved["patience"], seed=resolved["seed"],
-        normalize_entities=bool(resolved.get("normalize_entities", False)),
-        sampler=sampler,
-    )
+    try:
+        sampler = SamplerConfig(
+            mode=resolved["mode"],
+            negatives_per_positive=resolved["negatives"],
+            filter_false_negatives=bool(
+                resolved.get("filter_false_negatives", False)),
+            seed=resolved["seed"],
+        )
+        config = TrainConfig(
+            loss=resolved["loss"], margin=resolved["margin"],
+            p=resolved["p"], learning_rate=resolved["learning_rate"],
+            batch_size=resolved["batch_size"], dim=resolved["dim"],
+            max_steps=resolved["max_steps"],
+            eval_every=resolved["eval_every"],
+            patience=resolved["patience"], seed=resolved["seed"],
+            normalize_entities=bool(
+                resolved.get("normalize_entities", False)),
+            sampler=sampler,
+        )
+    except ValueError as exc:
+        raise InputError(f"invalid training config: {exc}") from exc
     return config, resolved
 
 

@@ -52,11 +52,6 @@ class Parameters:
                else self.relation_vectors)
         return rel.shape[0]
 
-    def relation(self, r: int) -> np.ndarray:
-        if self.kind.uses_matrix:
-            return self.relation_matrices[r]
-        return self.relation_vectors[r]
-
     def copy(self) -> "Parameters":
         return Parameters(
             kind=self.kind, d=self.d, entities=self.entities.copy(),
@@ -65,15 +60,6 @@ class Parameters:
             relation_matrices=None if self.relation_matrices is None
             else self.relation_matrices.copy(),
         )
-
-    def storage_size(self) -> int:
-        """Number of stored real parameters (n_e*d + n_r*d or n_r*d^2)."""
-        n = self.entities.size
-        if self.relation_vectors is not None:
-            n += self.relation_vectors.size
-        if self.relation_matrices is not None:
-            n += self.relation_matrices.size
-        return n
 
 
 @dataclass
@@ -261,8 +247,6 @@ def lemma_diagnostics(params: Parameters,
             if kind is ModelKind.TRANSE:
                 rec["translation_sum_norm"] = float(np.linalg.norm(
                     params.relation_vectors[r] + params.relation_vectors[r2]))
-            elif kind is ModelKind.DISTMULT:
-                rec["residual"] = map_residual(compose(r, r2), identity)
             else:
                 rec["residual"] = map_residual(compose(r, r2), identity)
             report["inverse"].append(rec)

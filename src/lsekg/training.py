@@ -9,6 +9,7 @@ fully deterministic given the config seed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import struct
 import warnings
@@ -54,6 +55,8 @@ class TrainConfig:
             raise ValueError("norm p must be 1 or 2")
         if self.margin <= 0 or self.learning_rate <= 0:
             raise ValueError("margin and learning rate must be positive")
+        if self.batch_size < 1 or self.dim < 1:
+            raise ValueError("batch size and dim must be at least 1")
 
     @property
     def negatives_per_positive(self) -> int:
@@ -108,6 +111,19 @@ def ce_loss(e_pos, e_negs, gamma: float, k: int | None = None) -> float:
 # batched energies and gradient scatter
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RowGrads:
+    """A row-sparse gradient: distinct row ids, and one gradient row (a
+    vector, or an LSE relation matrix) per id. Its length is its row
+    count."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 def _batch_energies(params: Parameters, triples: np.ndarray, p: int):
     """Energies for an (N, 3) id array, plus the residual mapped(h) - t that
     the backward pass needs (None for DistMult)."""
@@ -145,11 +161,10 @@ def _batch_energies(params: Parameters, triples: np.ndarray, p: int):
 
 def _batch_gradients(params: Parameters, triples: np.ndarray,
                      coeffs: np.ndarray, residual: np.ndarray | None, p: int,
-                     energies: np.ndarray,
-                     ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+                     energies: np.ndarray) -> tuple[RowGrads, RowGrads]:
     """Accumulate d(loss)/d(row) for every touched entity row and relation,
     given per-triple coefficients d(loss)/d(energy) and the forward pass's
-    residuals and energies for the same rows."""
+    residuals and energies for the same rows. The row ids come sorted."""
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
     kind = params.kind
     h_rows = params.entities[heads]
@@ -187,19 +202,19 @@ def _batch_gradients(params: Parameters, triples: np.ndarray,
 
     c = coeffs[:, None]
     ent_contrib *= np.concatenate([c, c])
-    uniq_e, acc_e = _segment_sum(np.concatenate([heads, tails]), ent_contrib)
-    entity_grads = dict(zip(uniq_e.tolist(), acc_e))
+    entity_grads = RowGrads(*_segment_sum(np.concatenate([heads, tails]),
+                                          ent_contrib))
 
-    relation_grads: dict[int, np.ndarray] = {}
     if kind is ModelKind.LSE:
-        for r in np.unique(rels):
+        uniq_r = np.unique(rels)
+        acc_r = np.empty((len(uniq_r), params.d, params.d))
+        for i, r in enumerate(uniq_r):
             sel = rels == r
-            relation_grads[int(r)] = h_rows[sel].T @ (coeffs[sel, None]
-                                                      * s[sel])
+            acc_r[i] = h_rows[sel].T @ (coeffs[sel, None] * s[sel])
+        relation_grads = RowGrads(uniq_r, acc_r)
     else:
         g_rel *= c
-        uniq_r, acc_r = _segment_sum(rels, g_rel)
-        relation_grads = dict(zip(uniq_r.tolist(), acc_r))
+        relation_grads = RowGrads(*_segment_sum(rels, g_rel))
     return entity_grads, relation_grads
 
 
@@ -228,20 +243,18 @@ def _active_rows(triples: np.ndarray, coeffs: np.ndarray,
     return triples[keep], coeffs[keep], residual, energies[keep]
 
 
-def sgd_step(params: Parameters, entity_grads: dict[int, np.ndarray],
-             relation_grads: dict[int, np.ndarray],
-             learning_rate: float) -> None:
-    """Apply theta <- theta - lr * grad to exactly the listed rows."""
+def sgd_step(params: Parameters, entity_grads: RowGrads,
+             relation_grads: RowGrads, learning_rate: float) -> None:
+    """Apply theta <- theta - lr * grad to exactly the listed rows, or,
+    when any gradient is non-finite, to none."""
     for grads in (entity_grads, relation_grads):
-        for g in grads.values():
-            if not np.all(np.isfinite(g)):
-                raise LsekgError("non-finite gradient; step aborted")
-    for e, g in entity_grads.items():
-        params.entities[e] -= learning_rate * g
+        if not np.isfinite(grads.rows).all():
+            raise LsekgError("non-finite gradient; step aborted")
     rel = (params.relation_matrices if params.kind.uses_matrix
            else params.relation_vectors)
-    for r, g in relation_grads.items():
-        rel[r] -= learning_rate * g
+    for table, grads in ((params.entities, entity_grads),
+                         (rel, relation_grads)):
+        table[grads.ids] -= learning_rate * grads.rows
 
 
 def _loss_coefficients(e_pos: np.ndarray, e_neg: np.ndarray,
@@ -300,12 +313,14 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                     if config.sampler.filter_false_negatives else None)
     sampler_config = dataclasses.replace(config.sampler, seed=config.seed)
     sampler = NegativeSampler(vocab.n_e, sampler_config, stats, train_filter)
-    valid_filter = build_filter_index([dataset.train, dataset.valid],
-                                      ["train", "valid"])
+    valid_filter = (build_filter_index([dataset.train, dataset.valid],
+                                       ["train", "valid"])
+                    if dataset.valid else None)
     shuffle_rng = substream(config.seed, "shuffle")
 
-    train_arr = np.array(dataset.train, dtype=np.int64)
-    n = len(train_arr)
+    n = len(dataset.train)
+    train_arr = np.fromiter(itertools.chain.from_iterable(dataset.train),
+                            np.int64, 3 * n).reshape(n, 3)
     batch_size = min(config.batch_size, n) if n else 0
 
     def snapshot(step: int, mrr: float | None) -> Checkpoint:
@@ -435,13 +450,23 @@ def load_checkpoint(path) -> Checkpoint:
             meta = json.loads(_read_exact(f, meta_len, "metadata"))
         except json.JSONDecodeError as exc:
             raise ConsistencyError(f"corrupt checkpoint metadata: {exc}")
+        if not isinstance(meta, dict):
+            raise ConsistencyError("corrupt checkpoint metadata: not an "
+                                   "object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConsistencyError(
                 f"unsupported checkpoint version {meta.get('version')}")
-        kind = ModelKind(meta["kind"])
-        d, n_e, n_r = meta["d"], meta["n_e"], meta["n_r"]
-        voc = meta["vocabulary"]
-        if len(voc["entities"]) != n_e or len(voc["relations"]) != n_r:
+        try:
+            kind = ModelKind(meta["kind"])
+            d, n_e, n_r = meta["d"], meta["n_e"], meta["n_r"]
+            entity_names = meta["vocabulary"]["entities"]
+            relation_names = meta["vocabulary"]["relations"]
+            config = TrainConfig.from_dict(meta["config"])
+            step, best_valid_mrr = meta["step"], meta["best_valid_mrr"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConsistencyError(
+                f"corrupt checkpoint metadata: {exc!r}") from exc
+        if len(entity_names) != n_e or len(relation_names) != n_r:
             raise ConsistencyError("vocabulary size does not match n_e/n_r")
         entities = np.frombuffer(
             _read_exact(f, n_e * d * 8, "entity array"), dtype="<f8"
@@ -457,10 +482,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise ConsistencyError("checkpoint has trailing bytes")
 
     vocabulary = Vocabulary(
-        entity_to_id={e: i for i, e in enumerate(voc["entities"])},
-        id_to_entity=tuple(voc["entities"]),
-        relation_to_id={r: i for i, r in enumerate(voc["relations"])},
-        id_to_relation=tuple(voc["relations"]),
+        entity_to_id={e: i for i, e in enumerate(entity_names)},
+        id_to_entity=tuple(entity_names),
+        relation_to_id={r: i for i, r in enumerate(relation_names)},
+        id_to_relation=tuple(relation_names),
     )
     params = Parameters(
         kind=kind, d=d, entities=entities,
@@ -469,6 +494,5 @@ def load_checkpoint(path) -> Checkpoint:
     )
     return Checkpoint(kind=kind, d=d, n_e=n_e, n_r=n_r,
                       vocabulary=vocabulary, params=params,
-                      config=TrainConfig.from_dict(meta["config"]),
-                      step=meta["step"],
-                      best_valid_mrr=meta["best_valid_mrr"])
+                      config=config, step=step,
+                      best_valid_mrr=best_valid_mrr)

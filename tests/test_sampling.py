@@ -4,7 +4,7 @@ import pytest
 from lsekg import ConsistencyError
 from lsekg.data import (RelationStats, Triple, build_dataset,
                         build_filter_index, compute_bernoulli_stats)
-from lsekg.sampling import (NegativeSampler, SamplerConfig,
+from lsekg.sampling import (REDRAW_CAP, NegativeSampler, SamplerConfig,
                             corruption_side_probability)
 
 
@@ -38,12 +38,17 @@ def make_sampler(n_e=20, mode="uniform", k=1, filter_index=None,
     return NegativeSampler(n_e, config, stats_map, filter_index)
 
 
+def corrupt_one(sampler, positive):
+    """The first negative that `corrupt_batch` draws for one positive."""
+    return Triple(*map(int, sampler.corrupt_batch(np.array([positive]))[0, 0]))
+
+
 class TestCorrupt:
     def test_exactly_one_side_changes(self):
         sampler = make_sampler(n_e=50)
         pos = Triple(3, 0, 7)
         for _ in range(200):
-            neg = sampler.corrupt(pos)
+            neg = corrupt_one(sampler, pos)
             head_changed = neg.head != pos.head
             tail_changed = neg.tail != pos.tail
             assert head_changed != tail_changed or (
@@ -64,7 +69,7 @@ class TestCorrupt:
         sampler = make_sampler(n_e=2, filter_index=idx,
                                filter_false_negatives=True)
         for _ in range(100):
-            neg = sampler.corrupt(Triple(0, 0, 1))
+            neg = corrupt_one(sampler, Triple(0, 0, 1))
             assert neg not in idx
         assert sampler.redraw_cap_hits == 0
 
@@ -89,6 +94,64 @@ class TestCorrupt:
         assert sampler.redraw_cap_hits == 0
         for row in neg.reshape(-1, 3):
             assert Triple(*map(int, row)) not in idx
+
+
+class LoopScreeningSampler(NegativeSampler):
+    """Reference screening: a visit of every negative in row-major order,
+    redrawing each known-true one from the filter index's sets."""
+
+    def _screen_false_negatives(self, neg, replace_head):
+        index = self.filter_index
+        for i in range(neg.shape[0]):
+            for j in range(neg.shape[1]):
+                h, r, t = (int(x) for x in neg[i, j])
+                on_head = bool(replace_head[i, j])
+                truths = (index.true_heads(r, t) if on_head
+                          else index.true_tails(h, r))
+                redraws = 0
+                value = h if on_head else t
+                while value in truths:
+                    if redraws >= REDRAW_CAP:
+                        self.redraw_cap_hits += 1
+                        break
+                    value = int(self.rng.integers(0, self.n_e))
+                    redraws += 1
+                neg[i, j, 0 if on_head else 2] = value
+
+
+class TestScreeningMatchesLoop:
+    """Key-lookup screening draws what the per-negative loop draws."""
+
+    def check(self, n_e, known, batches, k):
+        index = build_filter_index([tuple(Triple(*t) for t in known)])
+        config = SamplerConfig(mode="uniform", negatives_per_positive=k,
+                               filter_false_negatives=True, seed=5)
+        fast = NegativeSampler(n_e, config, None, index)
+        slow = LoopScreeningSampler(n_e, config, None, index)
+        for pos in batches:
+            assert np.array_equal(fast.corrupt_batch(pos),
+                                  slow.corrupt_batch(pos))
+        assert fast.redraw_cap_hits == slow.redraw_cap_hits
+        assert fast.rng.random() == slow.rng.random()
+        return fast.redraw_cap_hits
+
+    def test_complete_graph(self):
+        known = [(a, 0, b) for a in range(3) for b in range(3)]
+        hits = self.check(3, known, [np.array(known)] * 3, k=4)
+        assert hits == 3 * 9 * 4
+
+    def test_dense_random_graph(self):
+        rng = np.random.default_rng(6)
+        known = {tuple(t) for t in
+                 rng.integers(0, [30, 3, 30], size=(900, 3)).tolist()}
+        known |= {(0, 0, t) for t in range(30)}  # (0, 0, ?) is full
+        known = sorted(known)
+        # relation 4 has no known triple; relation 7 is past the keys'
+        # range, so its keys match those of other triples
+        pos = np.array(known + [(1, 4, 2), (3, 7, 0)])
+        hits = self.check(30, known, [pos, pos[::-1]], k=8)
+        assert hits > 0
+        assert hits < 2 * len(pos) * 8
 
 
 class TestGenerateBatch:

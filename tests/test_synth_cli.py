@@ -1,13 +1,19 @@
+import gc
+import json
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import lsekg
 from lsekg import InputError
+from lsekg.cli import _read_config_file, main
 from lsekg.data import build_dataset, detect_patterns, load_split
 from lsekg.synth import generate
-from lsekg.training import load_checkpoint
+from lsekg.training import CHECKPOINT_MAGIC, load_checkpoint
 
 
 class TestSymmetricPattern:
@@ -135,6 +141,10 @@ class TestGenerateContract:
 def run_cli(*args, env=None, cwd=None):
     import os
     full_env = dict(os.environ)
+    # the child process imports the lsekg that these tests import
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lsekg.__file__)),
+         *filter(None, [full_env.get("PYTHONPATH")])])
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "lsekg.cli", *args],
@@ -284,3 +294,74 @@ class TestCliInspect:
         proc = run_cli("inspect", "--checkpoint",
                        str(tmp_path / "no.ckpt"), "--data", str(synth_dir))
         assert proc.returncode == 2
+
+
+class TestCliExitCodes:
+    """Bad input ends with its exit code and a one-line error, never a
+    traceback."""
+
+    def exit_code(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        return code
+
+    def train(self, capsys, tmp_path, *flags):
+        (tmp_path / "train.txt").write_text("a\tr\tb\n")
+        return self.exit_code(capsys, "train", "--model", "lse_d",
+                              "--train", str(tmp_path / "train.txt"),
+                              "--max-steps", "1", "--out", str(tmp_path),
+                              *flags)
+
+    def test_missing_config_file_exit_2(self, capsys, tmp_path):
+        assert self.train(capsys, tmp_path, "--config",
+                          str(tmp_path / "none.conf")) == 2
+
+    @pytest.mark.parametrize("flag", [("--margin", "-1"),
+                                      ("--batch-size", "0"),
+                                      ("--negatives", "0")])
+    def test_bad_flag_value_exit_2(self, capsys, tmp_path, flag):
+        assert self.train(capsys, tmp_path, *flag) == 2
+
+    @pytest.mark.parametrize("line", ["margin=wide", "dim=3.5",
+                                      "seed=x", "loss=hinge"])
+    def test_bad_config_value_exit_2(self, capsys, tmp_path, line):
+        config = tmp_path / "bad.conf"
+        config.write_text(line + "\n")
+        assert self.train(capsys, tmp_path, "--config", str(config)) == 2
+
+    def checkpoint(self, tmp_path, meta):
+        blob = json.dumps(meta).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob))
+                         + blob + bytes(16))
+        return str(path)
+
+    @pytest.mark.parametrize("missing", ["kind", "vocabulary", "config",
+                                         "step"])
+    def test_checkpoint_missing_metadata_key_exit_3(self, capsys, tmp_path,
+                                                    missing):
+        meta = {"version": 1, "kind": "lse_d", "d": 1, "n_e": 1, "n_r": 1,
+                "step": 0, "best_valid_mrr": None, "config": {},
+                "vocabulary": {"entities": ["a"], "relations": ["r"]}}
+        del meta[missing]
+        path = self.checkpoint(tmp_path, meta)
+        assert self.exit_code(capsys, "eval", "--checkpoint", path,
+                              "--test", path) == 3
+
+    def test_checkpoint_metadata_not_an_object_exit_3(self, capsys,
+                                                      tmp_path):
+        path = self.checkpoint(tmp_path, [1])
+        assert self.exit_code(capsys, "eval", "--checkpoint", path,
+                              "--test", path) == 3
+
+    def test_config_file_closed(self, tmp_path):
+        config = tmp_path / "ok.conf"
+        config.write_text("dim=4\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _read_config_file(config) == {"dim": "4"}
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]

@@ -7,11 +7,23 @@ from lsekg import ConsistencyError, LsekgError
 from lsekg.data import build_dataset
 from lsekg.models import ModelKind, energy, init_params
 from lsekg.sampling import NegativeSampler, SamplerConfig
-from lsekg.training import (Checkpoint, TrainConfig, ce_loss,
+from lsekg.training import (Checkpoint, RowGrads, TrainConfig, ce_loss,
                             load_checkpoint, margin_loss, save_checkpoint,
                             sgd_step, train, triple_probability,
                             _active_rows, _batch_energies, _batch_gradients,
                             _loss_coefficients, _segment_sum)
+
+
+def row_grads(by_id: dict) -> RowGrads:
+    """RowGrads from {row id: gradient row}."""
+    ids = sorted(by_id)
+    return RowGrads(np.array(ids, dtype=np.int64),
+                    np.array([by_id[i] for i in ids], dtype=float))
+
+
+def as_dict(grads: RowGrads) -> dict:
+    """{row id: gradient row} from RowGrads."""
+    return dict(zip(grads.ids.tolist(), grads.rows))
 
 
 class TestMarginLoss:
@@ -75,14 +87,16 @@ class TestSgdStep:
     def test_zero_gradient_is_identity(self):
         params = init_params(ModelKind.LSE_D, 5, 2, 4, seed=0)
         before = params.entities.copy()
-        sgd_step(params, {1: np.zeros(4)}, {0: np.zeros(4)}, 0.1)
+        sgd_step(params, row_grads({1: np.zeros(4)}),
+                 row_grads({0: np.zeros(4)}), 0.1)
         assert np.array_equal(params.entities, before)
 
     def test_untouched_rows_bitwise_unchanged(self):
         params = init_params(ModelKind.TRANSE, 10, 3, 4, seed=1)
         before_e = params.entities.copy()
         before_r = params.relation_vectors.copy()
-        sgd_step(params, {2: np.ones(4)}, {1: np.ones(4)}, 0.1)
+        sgd_step(params, row_grads({2: np.ones(4)}),
+                 row_grads({1: np.ones(4)}), 0.1)
         untouched = [i for i in range(10) if i != 2]
         assert np.array_equal(params.entities[untouched],
                               before_e[untouched])
@@ -91,8 +105,10 @@ class TestSgdStep:
         assert not np.array_equal(params.entities[2], before_e[2])
 
     def test_disjoint_updates_commute(self):
-        grads_a = ({0: np.array([1.0, 2.0])}, {0: np.array([0.5, 0.5])})
-        grads_b = ({1: np.array([-1.0, 3.0])}, {1: np.array([0.1, 0.2])})
+        grads_a = (row_grads({0: np.array([1.0, 2.0])}),
+                   row_grads({0: np.array([0.5, 0.5])}))
+        grads_b = (row_grads({1: np.array([-1.0, 3.0])}),
+                   row_grads({1: np.array([0.1, 0.2])}))
         p1 = init_params(ModelKind.LSE_D, 4, 2, 2, seed=3)
         p2 = p1.copy()
         sgd_step(p1, *grads_a, 0.05)
@@ -106,8 +122,47 @@ class TestSgdStep:
         params = init_params(ModelKind.LSE_D, 4, 2, 2, seed=3)
         before = params.entities.copy()
         with pytest.raises(LsekgError):
-            sgd_step(params, {0: np.array([np.nan, 0.0])}, {}, 0.1)
+            sgd_step(params, row_grads({0: np.array([np.nan, 0.0])}),
+                     row_grads({}), 0.1)
         assert np.array_equal(params.entities, before)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_array_update_matches_row_by_row_bitwise(self, kind):
+        rng = np.random.default_rng(21)
+        params = init_params(kind, 12, 3, 4, seed=21)
+        expected = params.copy()
+        rel, expected_rel = ((p.relation_matrices if kind.uses_matrix
+                              else p.relation_vectors)
+                             for p in (params, expected))
+        ent_g = RowGrads(np.array([0, 3, 7, 11]), rng.normal(size=(4, 4)))
+        rel_g = RowGrads(np.array([0, 2]),
+                         rng.normal(size=(2, *rel.shape[1:])))
+        for table, grads in ((expected.entities, ent_g),
+                             (expected_rel, rel_g)):
+            for i, g in zip(grads.ids, grads.rows):
+                table[i] -= 0.03 * g
+        sgd_step(params, ent_g, rel_g, 0.03)
+        assert np.array_equal(params.entities, expected.entities)
+        assert np.array_equal(rel, expected_rel)
+
+    @pytest.mark.parametrize("kind", [ModelKind.LSE, ModelKind.TRANSE])
+    @pytest.mark.parametrize("bad", ["entity", "relation"])
+    def test_nonfinite_row_leaves_every_parameter(self, kind, bad):
+        params = init_params(kind, 6, 2, 3, seed=4)
+        before = params.copy()
+        rel_shape = (3, 3) if kind.uses_matrix else (3,)
+        ent_g = RowGrads(np.array([1, 4]), np.ones((2, 3)))
+        rel_g = RowGrads(np.array([0, 1]), np.ones((2, *rel_shape)))
+        (ent_g if bad == "entity" else rel_g).rows.flat[-1] = np.nan
+        with pytest.raises(LsekgError):
+            sgd_step(params, ent_g, rel_g, 0.1)
+        assert np.array_equal(params.entities, before.entities)
+        if kind.uses_matrix:
+            assert np.array_equal(params.relation_matrices,
+                                  before.relation_matrices)
+        else:
+            assert np.array_equal(params.relation_vectors,
+                                  before.relation_vectors)
 
     def test_single_triple_descent(self):
         params = init_params(ModelKind.LSE_D, 4, 1, 8, seed=5)
@@ -159,7 +214,7 @@ def test_batch_gradient_matches_finite_differences(kind, loss):
                                     energies)
 
     step = 1e-6
-    for row, grad in ent_g.items():
+    for row, grad in as_dict(ent_g).items():
         for i in range(d):
             orig = params.entities[row, i]
             params.entities[row, i] = orig + step
@@ -171,7 +226,7 @@ def test_batch_gradient_matches_finite_differences(kind, loss):
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
     rel_arrays = (params.relation_matrices if kind.uses_matrix
                   else params.relation_vectors)
-    for r, grad in rel_g.items():
+    for r, grad in as_dict(rel_g).items():
         flat_grad = grad.ravel()
         flat = rel_arrays[r].ravel()
         for i in range(flat.size):
@@ -214,7 +269,7 @@ def test_active_row_gradients_match_every_row(kind, p_norm):
     active = _batch_gradients(params, triples, c_act, r_act, p_norm, e_act)
 
     atol = 64 * np.finfo(float).eps if kind is ModelKind.LSE else 0.0
-    for full, part in zip(every, active):
+    for full, part in zip(map(as_dict, every), map(as_dict, active)):
         assert set(part) <= set(full)
         for key, grad in full.items():
             if key in part:
@@ -232,8 +287,8 @@ def test_batch_without_active_rows_has_no_gradients(kind):
     energies, residual = _batch_energies(params, flat, 1)
     triples, coeffs, residual, energies = _active_rows(
         flat, np.zeros(2), residual, energies)
-    assert _batch_gradients(params, triples, coeffs, residual, 1,
-                            energies) == ({}, {})
+    assert tuple(map(as_dict, _batch_gradients(
+        params, triples, coeffs, residual, 1, energies))) == ({}, {})
 
 
 def test_segment_sum_matches_add_at_bitwise():
