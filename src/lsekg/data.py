@@ -81,7 +81,7 @@ def load_split(path) -> list[RawTriple]:
                         f"got {len(fields)}")
                 h, r, t = (x.strip() for x in fields)
                 triples.append((h, r, t))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read triple file {path}: {exc}") from exc
     return triples
 

@@ -14,6 +14,19 @@ from lsekg.models import Parameters, all_head_energies, all_tail_energies
 TIE_POLICIES = ("optimistic", "pessimistic", "mean")
 
 
+def _tie_rank(better: int, equal: int, tie_policy: str) -> float:
+    if tie_policy == "optimistic":
+        return 1.0 + better
+    if tie_policy == "pessimistic":
+        return 1.0 + better + equal
+    return 1.0 + better + equal / 2.0
+
+
+def _check_tie_policy(tie_policy: str) -> None:
+    if tie_policy not in TIE_POLICIES:
+        raise ValueError(f"unknown tie policy {tie_policy!r}")
+
+
 def rank_of_truth(energies: np.ndarray, truth: int,
                   mask=None, tie_policy: str = "mean") -> float:
     """Rank of `truth` in an ascending-energy ordering of the candidates.
@@ -22,8 +35,7 @@ def rank_of_truth(energies: np.ndarray, truth: int,
     excluded. Ties with the truth contribute 0 (optimistic), all
     (pessimistic), or half (mean, the default) to the rank.
     """
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {tie_policy!r}")
+    _check_tie_policy(tie_policy)
     energies = np.asarray(energies)
     if not 0 <= truth < energies.shape[0]:
         raise ConsistencyError(f"truth id {truth} out of range")
@@ -37,11 +49,31 @@ def rank_of_truth(energies: np.ndarray, truth: int,
     others = energies[keep]
     better = int((others < e_truth).sum())
     equal = int((others == e_truth).sum())
-    if tie_policy == "optimistic":
-        return 1.0 + better
-    if tie_policy == "pessimistic":
-        return 1.0 + better + equal
-    return 1.0 + better + equal / 2.0
+    return _tie_rank(better, equal, tie_policy)
+
+
+def _raw_and_filtered_ranks(energies: np.ndarray, truth: int, known,
+                            tie_policy: str) -> tuple[float, float]:
+    """The raw and the filtered `rank_of_truth` of one query, from one
+    comparison pass over all candidates.
+
+    The better and tied candidates are counted once over every entity; the
+    filtered rank then takes away those at the known-true ids (`known` may
+    hold the truth itself, which is never counted).
+    """
+    e_truth = energies[truth]
+    better = np.count_nonzero(energies < e_truth)
+    # the truth ties with itself unless its energy is NaN
+    equal = np.count_nonzero(energies == e_truth) - int(e_truth == e_truth)
+    raw = _tie_rank(int(better), int(equal), tie_policy)
+    ids = np.fromiter(known, np.intp, len(known))
+    ids = ids[ids != truth]
+    if not len(ids):
+        return raw, raw
+    e_known = energies[ids]
+    better -= np.count_nonzero(e_known < e_truth)
+    equal -= np.count_nonzero(e_known == e_truth)
+    return raw, _tie_rank(int(better), int(equal), tie_policy)
 
 
 @dataclass(frozen=True)
@@ -111,27 +143,31 @@ def evaluate(params: Parameters, eval_set: TripleSet,
     """Rank the true entity of every triple under head and tail replacement.
 
     Raw ranks consider all entities; filtered ranks exclude the other
-    known-true entities recorded in `filter_index`.
+    known-true entities recorded in `filter_index`. A triple whose ids lie
+    outside the model's entity or relation range raises `ConsistencyError`
+    before anything is scored.
     """
-    records: list[RankRecord] = []
-    n_e = params.n_e
+    _check_tie_policy(tie_policy)
+    n_e, n_r = params.n_e, params.n_r
     for triple in eval_set:
         h, r, t = triple
-        if h >= n_e or t >= n_e:
+        if not (0 <= h < n_e and 0 <= t < n_e and 0 <= r < n_r):
             raise ConsistencyError(
-                f"triple {triple} outside the model vocabulary (n_e={n_e})")
-        tail_e = all_tail_energies(params, h, r, p)
-        mask = filter_index.true_tails(h, r) - {t}
-        records.append(RankRecord(
-            triple=triple, side="tail",
-            raw_rank=rank_of_truth(tail_e, t, None, tie_policy),
-            filtered_rank=rank_of_truth(tail_e, t, mask, tie_policy)))
-        head_e = all_head_energies(params, r, t, p)
-        mask = filter_index.true_heads(r, t) - {h}
-        records.append(RankRecord(
-            triple=triple, side="head",
-            raw_rank=rank_of_truth(head_e, h, None, tie_policy),
-            filtered_rank=rank_of_truth(head_e, h, mask, tie_policy)))
+                f"triple {tuple(triple)} outside the model vocabulary "
+                f"(n_e={n_e}, n_r={n_r})")
+    records: list[RankRecord] = []
+    for triple in eval_set:
+        h, r, t = triple
+        raw, filtered = _raw_and_filtered_ranks(
+            all_tail_energies(params, h, r, p), t,
+            filter_index.true_tails(h, r), tie_policy)
+        records.append(RankRecord(triple=triple, side="tail",
+                                  raw_rank=raw, filtered_rank=filtered))
+        raw, filtered = _raw_and_filtered_ranks(
+            all_head_energies(params, r, t, p), h,
+            filter_index.true_heads(r, t), tie_policy)
+        records.append(RankRecord(triple=triple, side="head",
+                                  raw_rank=raw, filtered_rank=filtered))
     return aggregate(records, tie_policy), records
 
 

@@ -163,6 +163,39 @@ def energy_gradients(params: Parameters, h: int, r: int, t: int,
     return ScoreGradients(d_head=s, d_tail=-s, d_relation=s)  # TransE
 
 
+# Rows per block of the all-entity scan. A (512, d) float64 block stays in
+# cache at d = 200, where a whole-table temporary of WN18RR's 40,943 rows is
+# 65.5 MB that every query must fault in afresh. On a 2-core VM, 128 rows
+# took 1.05x, 2,048 rows 1.3x and 8,192 rows 2.1x the time of 512 rows.
+_BLOCK_ROWS = 512
+
+
+def _scan_entities(params: Parameters, fill, p: int) -> np.ndarray:
+    """The p-norm of one residual row per entity, computed block by block.
+
+    `fill(rows, out)` writes the residuals of a block of entity rows into
+    `out`, a view of one (block, d) buffer that every block reuses. Each row
+    is still summed whole, so the energies are bitwise those of an unblocked
+    pass with the same residuals.
+    """
+    ents = params.entities
+    n_e = ents.shape[0]
+    energies = np.empty(n_e)
+    buf = np.empty((min(_BLOCK_ROWS, n_e), ents.shape[1]))
+    for lo in range(0, n_e, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_e)
+        res = buf[:hi - lo]
+        fill(ents[lo:hi], res)
+        if p == 1:
+            np.abs(res, out=res)
+        else:
+            np.multiply(res, res, out=res)
+        res.sum(axis=1, out=energies[lo:hi])
+    if p != 1:
+        np.sqrt(energies, out=energies)
+    return energies
+
+
 def all_tail_energies(params: Parameters, h: int, r: int,
                       p: int = 1) -> np.ndarray:
     """Energies of (h, r, e) for every entity e, as one batched pass."""
@@ -170,10 +203,8 @@ def all_tail_energies(params: Parameters, h: int, r: int,
     if params.kind is ModelKind.DISTMULT:
         return -ents @ (params.entities[h] * params.relation_vectors[r])
     mapped = _mapped_head(params, params.entities[h], r)
-    residual = mapped[None, :] - ents
-    if p == 1:
-        return np.abs(residual).sum(axis=1)
-    return np.sqrt((residual * residual).sum(axis=1))
+    return _scan_entities(
+        params, lambda rows, out: np.subtract(mapped, rows, out=out), p)
 
 
 def all_head_energies(params: Parameters, r: int, t: int,
@@ -181,18 +212,23 @@ def all_head_energies(params: Parameters, r: int, t: int,
     """Energies of (e, r, t) for every entity e."""
     ents = params.entities
     kind = params.kind
+    t_row = params.entities[t]
     if kind is ModelKind.DISTMULT:
-        return -ents @ (params.relation_vectors[r] * params.entities[t])
+        return -ents @ (params.relation_vectors[r] * t_row)
     if kind is ModelKind.LSE:
-        mapped = ents @ params.relation_matrices[r]
+        # a matmul over one block of rows may block its sums differently
+        # from one over the whole table: within 1e-15 relative
+        op, rel = np.matmul, params.relation_matrices[r]
     elif kind is ModelKind.LSE_D:
-        mapped = ents * params.relation_vectors[r][None, :]
+        op, rel = np.multiply, params.relation_vectors[r]
     else:
-        mapped = ents + params.relation_vectors[r][None, :]
-    residual = mapped - params.entities[t][None, :]
-    if p == 1:
-        return np.abs(residual).sum(axis=1)
-    return np.sqrt((residual * residual).sum(axis=1))
+        op, rel = np.add, params.relation_vectors[r]
+
+    def fill(rows, out):
+        op(rows, rel, out=out)
+        out -= t_row
+
+    return _scan_entities(params, fill, p)
 
 
 def lemma_diagnostics(params: Parameters,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -301,8 +302,9 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
 
     Runs up to `config.max_steps` minibatch steps with reshuffled epochs,
     evaluating every `eval_every` steps and stopping after `patience`
-    non-improving evaluations. On divergence (non-finite loss) the last good
-    parameters are returned.
+    non-improving evaluations. On divergence (a non-finite loss or
+    gradient) a warning is issued and the last good parameters are
+    returned.
     """
     kind = ModelKind(kind)
     vocab = dataset.vocabulary
@@ -359,7 +361,13 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                 flat, coeffs, residual, energies)
             ent_g, rel_g = _batch_gradients(params, triples, coeffs,
                                             residual, config.p, energies)
-            sgd_step(params, ent_g, rel_g, config.learning_rate)
+            try:
+                sgd_step(params, ent_g, rel_g, config.learning_rate)
+            except LsekgError:  # a non-finite gradient; nothing applied
+                warnings.warn(f"non-finite gradient at step {step}; "
+                              "returning last good checkpoint")
+                diverged = True
+                break
             if config.normalize_entities and kind is ModelKind.TRANSE:
                 rows = np.unique(flat[:, [0, 2]])
                 norms = np.linalg.norm(params.entities[rows], axis=1,
@@ -428,12 +436,32 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
+    # a corrupt size must not make `read` allocate before it finds EOF
+    remaining = os.fstat(f.fileno()).st_size - f.tell()
+    if count > remaining:
         raise ConsistencyError(
             f"truncated checkpoint: expected {count} bytes for {what}, "
-            f"got {len(data)}")
-    return data
+            f"got {max(remaining, 0)}")
+    return f.read(count)
+
+
+def _meta_int(meta: dict, key: str, minimum: int) -> int:
+    value = meta[key]
+    if type(value) is not int or value < minimum:
+        raise ConsistencyError(f"corrupt checkpoint metadata: {key}="
+                               f"{value!r} is not an integer >= {minimum}")
+    return value
+
+
+def _meta_names(vocabulary, key: str, count: int) -> dict[str, int]:
+    """{name: id} of a vocabulary list of `count` distinct strings."""
+    names = vocabulary[key]
+    ids = ({x: i for i, x in enumerate(names)} if isinstance(names, list)
+           and all(isinstance(x, str) for x in names) else {})
+    if len(ids) != count or len(names) != count:
+        raise ConsistencyError(f"corrupt checkpoint metadata: vocabulary "
+                               f"{key} are not {count} distinct names")
+    return ids
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -448,7 +476,7 @@ def load_checkpoint(path) -> Checkpoint:
         (meta_len,) = struct.unpack("<Q", _read_exact(f, 8, "metadata length"))
         try:
             meta = json.loads(_read_exact(f, meta_len, "metadata"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConsistencyError(f"corrupt checkpoint metadata: {exc}")
         if not isinstance(meta, dict):
             raise ConsistencyError("corrupt checkpoint metadata: not an "
@@ -458,16 +486,21 @@ def load_checkpoint(path) -> Checkpoint:
                 f"unsupported checkpoint version {meta.get('version')}")
         try:
             kind = ModelKind(meta["kind"])
-            d, n_e, n_r = meta["d"], meta["n_e"], meta["n_r"]
-            entity_names = meta["vocabulary"]["entities"]
-            relation_names = meta["vocabulary"]["relations"]
+            d = _meta_int(meta, "d", 1)
+            n_e = _meta_int(meta, "n_e", 0)
+            n_r = _meta_int(meta, "n_r", 0)
+            step = _meta_int(meta, "step", 0)
+            entity_to_id = _meta_names(meta["vocabulary"], "entities", n_e)
+            relation_to_id = _meta_names(meta["vocabulary"], "relations",
+                                         n_r)
             config = TrainConfig.from_dict(meta["config"])
-            step, best_valid_mrr = meta["step"], meta["best_valid_mrr"]
+            best_valid_mrr = meta["best_valid_mrr"]
+            if type(best_valid_mrr) not in (type(None), int, float):
+                raise ConsistencyError("corrupt checkpoint metadata: "
+                                       f"best_valid_mrr={best_valid_mrr!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConsistencyError(
                 f"corrupt checkpoint metadata: {exc!r}") from exc
-        if len(entity_names) != n_e or len(relation_names) != n_r:
-            raise ConsistencyError("vocabulary size does not match n_e/n_r")
         entities = np.frombuffer(
             _read_exact(f, n_e * d * 8, "entity array"), dtype="<f8"
         ).reshape(n_e, d).copy()
@@ -482,10 +515,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise ConsistencyError("checkpoint has trailing bytes")
 
     vocabulary = Vocabulary(
-        entity_to_id={e: i for i, e in enumerate(entity_names)},
-        id_to_entity=tuple(entity_names),
-        relation_to_id={r: i for i, r in enumerate(relation_names)},
-        id_to_relation=tuple(relation_names),
+        entity_to_id=entity_to_id, id_to_entity=tuple(entity_to_id),
+        relation_to_id=relation_to_id, id_to_relation=tuple(relation_to_id),
     )
     params = Parameters(
         kind=kind, d=d, entities=entities,

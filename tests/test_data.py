@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsekg import InputError
 from lsekg.data import (Triple, build_dataset, build_filter_index,
@@ -46,6 +47,37 @@ class TestLoadSplit:
         lines = [f"e{i}\tr\te{i + 1}\n".encode() for i in range(50)]
         triples = load_split(tsv("t.txt", lines))
         assert triples == [(f"e{i}", "r", f"e{i + 1}") for i in range(50)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "split.txt"
+
+
+# lines built from the characters a TSV parser must handle, plus bytes that
+# are not UTF-8
+_TSV_LINES = st.lists(st.one_of(
+    st.text(alphabet=st.sampled_from("ab \t\r\u00e9\x00"), max_size=12)
+    .map(lambda s: (s + "\n").encode()),
+    st.binary(max_size=12)), max_size=8)
+
+
+class TestLoadSplitFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_TSV_LINES)
+    def test_loads_or_raises_input_error(self, fuzz_path, lines):
+        fuzz_path.write_bytes(b"".join(lines))
+        try:
+            triples = load_split(fuzz_path)
+        except InputError:
+            return
+        assert all(len(t) == 3 and all(isinstance(x, str) for x in t)
+                   for t in triples)
+
+    def test_invalid_utf8_names_file(self, tsv):
+        path = tsv("t.txt", [b"a\tr\tb\n", b"\xff\tr\tb\n"])
+        with pytest.raises(InputError, match="t.txt"):
+            load_split(path)
 
 
 class TestBuildDataset:

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from lsekg import ConsistencyError
 from lsekg.data import Triple, build_filter_index
-from lsekg.evaluation import (MetricBlock, Metrics, RankRecord, aggregate,
+from lsekg.evaluation import (TIE_POLICIES, MetricBlock, Metrics,
+                              RankRecord, _raw_and_filtered_ranks, aggregate,
                               evaluate, parse_structured, rank_of_truth,
                               report)
 from lsekg.models import ModelKind, energy, init_params
@@ -46,6 +47,28 @@ class TestRankOfTruth:
             permuted = energies[perm]
             new_truth = int(np.where(perm == truth)[0][0])
             assert rank_of_truth(permuted, new_truth) == base
+
+
+@st.composite
+def ranking_queries(draw):
+    """Energies with ties and NaNs, a truth id, and a known-true set that
+    may hold the truth."""
+    energies = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, np.nan]), min_size=1,
+        max_size=30)))
+    truth = draw(st.integers(0, len(energies) - 1))
+    known = draw(st.frozensets(st.integers(0, len(energies) - 1)))
+    return energies, truth, known
+
+
+class TestOnePassRanks:
+    @given(ranking_queries(), st.sampled_from(TIE_POLICIES))
+    def test_equal_rank_of_truth(self, query, tie_policy):
+        energies, truth, known = query
+        assert _raw_and_filtered_ranks(energies, truth, known,
+                                       tie_policy) == (
+            rank_of_truth(energies, truth, None, tie_policy),
+            rank_of_truth(energies, truth, known - {truth}, tie_policy))
 
 
 class TestMetricArithmetic:
@@ -131,6 +154,20 @@ class TestEvaluate:
         params, _, idx = small_setup()
         with pytest.raises(ConsistencyError):
             evaluate(params, (Triple(99, 0, 0),), idx)
+
+
+    @pytest.mark.parametrize("triple", [Triple(-1, 0, 0), Triple(0, 0, -1),
+                                        Triple(0, 0, 12), Triple(0, -1, 0),
+                                        Triple(0, 2, 0)])
+    def test_id_out_of_range_rejected(self, triple):
+        params, _, idx = small_setup(n_e=12, n_r=2)
+        with pytest.raises(ConsistencyError, match="outside"):
+            evaluate(params, (Triple(0, 0, 1), triple), idx)
+
+    def test_unknown_tie_policy_rejected(self):
+        params, eval_set, idx = small_setup()
+        with pytest.raises(ValueError):
+            evaluate(params, eval_set, idx, tie_policy="median")
 
 
 class TestReport:

@@ -3,11 +3,12 @@ import pytest
 
 from lsekg import ConsistencyError
 from lsekg.data import RelationStats
-from lsekg.models import (ModelKind, Parameters, all_head_energies,
-                          all_tail_energies, energy, energy_gradients,
-                          init_params, lemma_diagnostics)
+from lsekg.models import (_BLOCK_ROWS, ModelKind, Parameters,
+                          all_head_energies, all_tail_energies, energy,
+                          energy_gradients, init_params, lemma_diagnostics)
 
 KINDS = list(ModelKind)
+EPS = np.finfo(float).eps
 DISTANCE_KINDS = [ModelKind.LSE, ModelKind.LSE_D, ModelKind.TRANSE]
 
 
@@ -206,6 +207,41 @@ class TestBatchedKernels:
         singles = [energy(params, e, 0, 2, p_norm)
                    for e in range(params.n_e)]
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    @pytest.mark.parametrize("n_e", [_BLOCK_ROWS - 5, _BLOCK_ROWS,
+                                     2 * _BLOCK_ROWS + 7])
+    def test_blocked_scan_matches_whole_table(self, kind, p_norm, n_e):
+        params = make_params(kind, n_e=n_e, d=9, seed=n_e)
+        ents = params.entities
+        h, r, t = 4, 1, n_e - 1
+        if kind is ModelKind.DISTMULT:
+            tails = -ents @ (ents[h] * params.relation_vectors[r])
+            heads = -ents @ (params.relation_vectors[r] * ents[t])
+        else:
+            if kind is ModelKind.LSE:
+                mat = params.relation_matrices[r]
+                tail_res, head_res = ents[h] @ mat - ents, ents @ mat - ents[t]
+            elif kind is ModelKind.LSE_D:
+                vec = params.relation_vectors[r]
+                tail_res, head_res = ents[h] * vec - ents, ents * vec - ents[t]
+            else:
+                vec = params.relation_vectors[r]
+                tail_res, head_res = ents[h] + vec - ents, ents + vec - ents[t]
+            if p_norm == 1:
+                tails, heads = (np.abs(x).sum(axis=1)
+                                for x in (tail_res, head_res))
+            else:
+                tails, heads = (np.sqrt((x * x).sum(axis=1))
+                                for x in (tail_res, head_res))
+        assert np.array_equal(all_tail_energies(params, h, r, p_norm), tails)
+        blocked = all_head_energies(params, r, t, p_norm)
+        if kind is ModelKind.LSE:
+            # a matmul over one block may block its sums differently
+            np.testing.assert_allclose(blocked, heads, rtol=64 * EPS, atol=0)
+        else:
+            assert np.array_equal(blocked, heads)
 
     def test_lse_d_self_hit(self):
         params = make_params(ModelKind.LSE_D, seed=23)

@@ -350,6 +350,15 @@ class TestCliExitCodes:
         assert self.exit_code(capsys, "eval", "--checkpoint", path,
                               "--test", path) == 3
 
+    @pytest.mark.parametrize("d", ["3", 2.5, None, -1])
+    def test_checkpoint_bad_dimension_exit_3(self, capsys, tmp_path, d):
+        meta = {"version": 1, "kind": "lse_d", "d": d, "n_e": 1, "n_r": 1,
+                "step": 0, "best_valid_mrr": None, "config": {},
+                "vocabulary": {"entities": ["a"], "relations": ["r"]}}
+        path = self.checkpoint(tmp_path, meta)
+        assert self.exit_code(capsys, "eval", "--checkpoint", path,
+                              "--test", path) == 3
+
     def test_checkpoint_metadata_not_an_object_exit_3(self, capsys,
                                                       tmp_path):
         path = self.checkpoint(tmp_path, [1])

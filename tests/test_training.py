@@ -1,14 +1,19 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lsekg import ConsistencyError, LsekgError
-from lsekg.data import build_dataset
+import lsekg.training
+from lsekg import ConsistencyError, InputError, LsekgError
+from lsekg.data import Vocabulary, build_dataset
 from lsekg.models import ModelKind, energy, init_params
 from lsekg.sampling import NegativeSampler, SamplerConfig
-from lsekg.training import (Checkpoint, RowGrads, TrainConfig, ce_loss,
-                            load_checkpoint, margin_loss, save_checkpoint,
+from lsekg.training import (CHECKPOINT_MAGIC, Checkpoint, RowGrads,
+                            TrainConfig, ce_loss, load_checkpoint,
+                            margin_loss, save_checkpoint,
                             sgd_step, train, triple_probability,
                             _active_rows, _batch_energies, _batch_gradients,
                             _loss_coefficients, _segment_sum)
@@ -357,6 +362,31 @@ class TestTrain:
         assert ckpt.params.entities.shape == (ckpt.n_e, ckpt.d)
         assert ckpt.best_valid_mrr is not None
 
+    def test_nonfinite_gradient_returns_last_good(self, tiny_dataset,
+                                                  monkeypatch):
+        config = desk_config(max_steps=10, eval_every=0)
+        expected = train(tiny_dataset, ModelKind.LSE_D,
+                         desk_config(max_steps=3, eval_every=0))
+        original = lsekg.training._batch_gradients
+        calls = []
+
+        def nan_on_fourth_step(*args):
+            ent_g, rel_g = original(*args)
+            calls.append(1)
+            if len(calls) == 4:
+                ent_g.rows[0, 0] = np.nan
+            return ent_g, rel_g
+
+        monkeypatch.setattr(lsekg.training, "_batch_gradients",
+                            nan_on_fourth_step)
+        with pytest.warns(UserWarning, match="non-finite gradient"):
+            ckpt = train(tiny_dataset, ModelKind.LSE_D, config)
+        assert len(calls) == 4
+        assert ckpt.step == 3
+        assert np.array_equal(ckpt.params.entities, expected.params.entities)
+        assert np.array_equal(ckpt.params.relation_vectors,
+                              expected.params.relation_vectors)
+
     def test_normalize_entities_projects_rows(self, tiny_dataset):
         config = desk_config(normalize_entities=True, max_steps=30,
                              eval_every=0)
@@ -423,3 +453,130 @@ class TestCheckpointIO:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ConsistencyError, match="trailing"):
             load_checkpoint(path)
+
+
+def small_checkpoint(kind=ModelKind.LSE_D) -> Checkpoint:
+    params = init_params(kind, 3, 2, 2, seed=0)
+    vocab = Vocabulary(entity_to_id={"a": 0, "b": 1, "c": 2},
+                       id_to_entity=("a", "b", "c"),
+                       relation_to_id={"r": 0, "s": 1},
+                       id_to_relation=("r", "s"))
+    return Checkpoint(kind=kind, d=2, n_e=3, n_r=2, vocabulary=vocab,
+                      params=params, config=TrainConfig(dim=2), step=7,
+                      best_valid_mrr=0.5)
+
+
+def checkpoint_bytes(tmp_path, ckpt) -> bytes:
+    path = tmp_path / "valid.ckpt"
+    save_checkpoint(ckpt, path)
+    return path.read_bytes()
+
+
+def split_checkpoint(blob: bytes) -> tuple[dict, bytes]:
+    """(metadata, array bytes) of a checkpoint file."""
+    start = len(CHECKPOINT_MAGIC) + 8
+    (meta_len,) = struct.unpack("<Q", blob[len(CHECKPOINT_MAGIC):start])
+    meta = json.loads(blob[start:start + meta_len])
+    return meta, blob[start + meta_len:]
+
+
+def join_checkpoint(meta, arrays: bytes) -> bytes:
+    text = json.dumps(meta).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(text)) + text + arrays
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt_fuzz")
+
+
+def loads_or_rejects(path):
+    """Load a checkpoint; a rejection must be a documented error."""
+    try:
+        ckpt = load_checkpoint(path)
+    except (InputError, ConsistencyError):
+        return None
+    assert ckpt.params.entities.shape == (ckpt.n_e, ckpt.d)
+    assert len(ckpt.vocabulary.entity_to_id) == ckpt.n_e
+    assert len(ckpt.vocabulary.relation_to_id) == ckpt.n_r
+    return ckpt
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70)
+    | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.binary(max_size=64))
+    def test_arbitrary_bytes(self, fuzz_dir, magic, tail):
+        path = fuzz_dir / "bytes.ckpt"
+        path.write_bytes((CHECKPOINT_MAGIC if magic else b"") + tail)
+        loads_or_rejects(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_corrupted_bytes(self, fuzz_dir, data):
+        blob = bytearray(checkpoint_bytes(fuzz_dir, small_checkpoint()))
+        if data.draw(st.booleans()):
+            blob = blob[:data.draw(st.integers(0, len(blob)))]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1))
+            blob[at] = data.draw(st.integers(0, 255))
+        path = fuzz_dir / "corrupt.ckpt"
+        path.write_bytes(bytes(blob))
+        loads_or_rejects(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(ModelKind)),
+           st.sampled_from(["version", "kind", "d", "n_e", "n_r", "step",
+                            "best_valid_mrr", "config", "vocabulary",
+                            "vocabulary.entities", "vocabulary.relations"]),
+           _JSON)
+    def test_metadata_value_replaced(self, fuzz_dir, kind, key, value):
+        meta, arrays = split_checkpoint(
+            checkpoint_bytes(fuzz_dir, small_checkpoint(kind)))
+        outer, _, inner = key.partition(".")
+        if inner:
+            meta[outer][inner] = value
+        else:
+            meta[outer] = value
+        path = fuzz_dir / "meta.ckpt"
+        path.write_bytes(join_checkpoint(meta, arrays))
+        loads_or_rejects(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("d", "3"), ("d", 2.5), ("d", None), ("d", -1), ("d", 0),
+        ("d", True), ("d", 2**64), ("n_e", "3"), ("n_r", -2),
+        ("step", -1), ("step", 1.5), ("best_valid_mrr", "high"),
+        ("vocabulary", {"entities": ["a", "a", "c"], "relations": ["r", "s"]}),
+        ("vocabulary", {"entities": [1, 2, 3], "relations": ["r", "s"]}),
+        ("vocabulary", {"entities": "abc", "relations": ["r", "s"]}),
+    ])
+    def test_bad_metadata_value_rejected(self, tmp_path, key, value):
+        meta, arrays = split_checkpoint(
+            checkpoint_bytes(tmp_path, small_checkpoint()))
+        meta[key] = value
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(join_checkpoint(meta, arrays))
+        with pytest.raises(ConsistencyError):
+            load_checkpoint(path)
+
+    def test_huge_metadata_length_rejected(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", 2**64 - 1))
+        with pytest.raises(ConsistencyError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_valid_metadata_round_trips(self, tmp_path):
+        ckpt = small_checkpoint()
+        meta, arrays = split_checkpoint(checkpoint_bytes(tmp_path, ckpt))
+        path = tmp_path / "same.ckpt"
+        path.write_bytes(join_checkpoint(meta, arrays))
+        loaded = loads_or_rejects(path)
+        assert loaded is not None and loaded.step == 7
+        assert np.array_equal(loaded.params.entities, ckpt.params.entities)
