@@ -66,10 +66,11 @@ class Dataset:
 
 
 def load_split(path) -> list[RawTriple]:
-    """Read one TSV split file into raw string triples, order preserved."""
+    """Read one TSV split file into raw string triples, order preserved.
+    A leading byte-order mark is dropped; an empty field is an error."""
     triples: list[RawTriple] = []
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.rstrip("\r\n")
                 if not line.strip():
@@ -80,6 +81,9 @@ def load_split(path) -> list[RawTriple]:
                         f"{path}:{lineno}: expected 3 tab-separated fields, "
                         f"got {len(fields)}")
                 h, r, t = (x.strip() for x in fields)
+                if not (h and r and t):
+                    raise InputError(
+                        f"{path}:{lineno}: empty head, relation or tail")
                 triples.append((h, r, t))
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read triple file {path}: {exc}") from exc

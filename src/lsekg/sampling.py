@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from lsekg import ConsistencyError
-from lsekg.data import FilterIndex, RelationStats, Triple
+from lsekg.data import FilterIndex, RelationStats
 from lsekg.seeding import substream
 
 REDRAW_CAP = 100
@@ -158,15 +158,3 @@ class NegativeSampler:
                 value = int(self.rng.integers(0, self.n_e))
                 redraws += 1
             neg[i, j, 0 if on_head else 2] = value
-
-    def generate_batch(self, positives: list[Triple]
-                       ) -> list[tuple[Triple, list[Triple]]]:
-        """Per-positive negatives as (positive, [k negatives]) pairs."""
-        if not positives:
-            return []
-        neg = self.corrupt_batch(np.array(positives))
-        return [
-            (pos, [Triple(*(int(x) for x in neg[i, j]))
-                   for j in range(neg.shape[1])])
-            for i, pos in enumerate(positives)
-        ]

@@ -11,8 +11,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import struct
+import typing
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,7 +25,11 @@ from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import (Dataset, Vocabulary, build_filter_index,
                         compute_bernoulli_stats)
 from lsekg.evaluation import evaluate
-from lsekg.models import ModelKind, Parameters, init_params
+# the batched forward and backward passes live with the models; the
+# benchmark's spans find them under these names too
+from lsekg.models import (ModelKind, Parameters, RowGrads,  # noqa: F401
+                          _batch_energies, _batch_gradients, _segment_sum,
+                          init_params)
 from lsekg.sampling import NegativeSampler, SamplerConfig
 from lsekg.seeding import substream
 
@@ -59,18 +65,29 @@ class TrainConfig:
         if self.batch_size < 1 or self.dim < 1:
             raise ValueError("batch size and dim must be at least 1")
 
-    @property
-    def negatives_per_positive(self) -> int:
-        return self.sampler.negatives_per_positive
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
+        """The config of `to_dict`'s output. A value whose type is not its
+        field's raises TypeError."""
         d = dict(d)
-        d["sampler"] = SamplerConfig(**d.get("sampler", {}))
-        return TrainConfig(**d)
+        d["sampler"] = SamplerConfig(**_typed(SamplerConfig,
+                                              d.get("sampler", {})))
+        return TrainConfig(**_typed(TrainConfig, d))
+
+
+def _typed(cls, values: dict) -> dict:
+    """`values`, once each has the type of the `cls` field it names. An int
+    passes for a float; a bool passes only for a bool."""
+    hints = typing.get_type_hints(cls)
+    for name in (f.name for f in dataclasses.fields(cls)):
+        if name in values and not (type(values[name]) is hints[name] or (
+                hints[name] is float and type(values[name]) is int)):
+            raise TypeError(f"config {name}={values[name]!r} is not "
+                            f"{hints[name].__name__}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -109,129 +126,8 @@ def ce_loss(e_pos, e_negs, gamma: float, k: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched energies and gradient scatter
+# active rows and the update
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RowGrads:
-    """A row-sparse gradient: distinct row ids, and one gradient row (a
-    vector, or an LSE relation matrix) per id. Its length is its row
-    count."""
-
-    ids: np.ndarray
-    rows: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def _batch_energies(params: Parameters, triples: np.ndarray, p: int):
-    """Energies for an (N, 3) id array, plus the residual mapped(h) - t that
-    the backward pass needs (None for DistMult)."""
-    heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-    ents = params.entities
-    kind = params.kind
-
-    if kind is ModelKind.DISTMULT:
-        prod = ents[heads] * params.relation_vectors[rels]
-        prod *= ents[tails]
-        return -prod.sum(axis=1), None
-
-    # batch-sized temporaries are costly to allocate, so the residual is
-    # built in place
-    if kind is ModelKind.LSE:
-        # map each distinct (relation, head) pair once, then gather
-        pairs, inv = np.unique(rels * params.n_e + heads, return_inverse=True)
-        pair_rels, pair_heads = np.divmod(pairs, params.n_e)
-        mapped = np.empty((len(pairs), params.d))
-        for r in np.unique(pair_rels):
-            sel = pair_rels == r
-            mapped[sel] = ents[pair_heads[sel]] @ params.relation_matrices[r]
-        residual = mapped[inv]
-    elif kind is ModelKind.LSE_D:
-        residual = ents[heads] * params.relation_vectors[rels]
-    else:  # TransE
-        residual = ents[heads] + params.relation_vectors[rels]
-    residual -= ents[tails]
-    if p == 1:
-        energies = np.abs(residual).sum(axis=1)
-    else:
-        energies = np.sqrt((residual * residual).sum(axis=1))
-    return energies, residual
-
-
-def _batch_gradients(params: Parameters, triples: np.ndarray,
-                     coeffs: np.ndarray, residual: np.ndarray | None, p: int,
-                     energies: np.ndarray) -> tuple[RowGrads, RowGrads]:
-    """Accumulate d(loss)/d(row) for every touched entity row and relation,
-    given per-triple coefficients d(loss)/d(energy) and the forward pass's
-    residuals and energies for the same rows. The row ids come sorted."""
-    heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-    kind = params.kind
-    h_rows = params.entities[heads]
-    # d(energy)/d(row) for the head rows, then the tail rows; like the
-    # forward pass, this writes into buffers instead of new temporaries
-    ent_contrib = np.empty((2 * len(triples), params.d))
-    g_head, g_tail = ent_contrib[:len(triples)], ent_contrib[len(triples):]
-
-    if kind is ModelKind.DISTMULT:
-        r_rows = params.relation_vectors[rels]
-        t_rows = params.entities[tails]
-        np.negative(np.multiply(r_rows, t_rows, out=g_head), out=g_head)
-        np.negative(np.multiply(h_rows, r_rows, out=g_tail), out=g_tail)
-        g_rel = np.negative(np.multiply(h_rows, t_rows, out=h_rows),
-                            out=h_rows)
-    else:
-        if p == 1:
-            s = np.sign(residual)
-        else:
-            norm = energies[:, None]
-            s = np.divide(residual, norm, out=np.zeros_like(residual),
-                          where=norm > 0)
-        np.negative(s, out=g_tail)
-        if kind is ModelKind.LSE:
-            for r in np.unique(rels):
-                sel = rels == r
-                g_head[sel] = s[sel] @ params.relation_matrices[r].T
-            g_rel = None  # handled per relation below
-        elif kind is ModelKind.LSE_D:
-            np.multiply(s, params.relation_vectors[rels], out=g_head)
-            g_rel = np.multiply(s, h_rows, out=h_rows)
-        else:  # TransE
-            g_head[:] = s
-            g_rel = s
-
-    c = coeffs[:, None]
-    ent_contrib *= np.concatenate([c, c])
-    entity_grads = RowGrads(*_segment_sum(np.concatenate([heads, tails]),
-                                          ent_contrib))
-
-    if kind is ModelKind.LSE:
-        uniq_r = np.unique(rels)
-        acc_r = np.empty((len(uniq_r), params.d, params.d))
-        for i, r in enumerate(uniq_r):
-            sel = rels == r
-            acc_r[i] = h_rows[sel].T @ (coeffs[sel, None] * s[sel])
-        relation_grads = RowGrads(uniq_r, acc_r)
-    else:
-        g_rel *= c
-        relation_grads = RowGrads(*_segment_sum(rels, g_rel))
-    return entity_grads, relation_grads
-
-
-def _segment_sum(ids: np.ndarray, rows: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the rows that share an id: (sorted unique ids, one sum per id).
-
-    `np.bincount` adds its weights in input order, so every sum is bitwise
-    the one that `np.add.at` into zeros gives, at a fraction of its cost.
-    """
-    uniq, inv = np.unique(ids, return_inverse=True)
-    d = rows.shape[1]
-    slots = (inv[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(slots, weights=rows.ravel(), minlength=len(uniq) * d)
-    return uniq, sums.reshape(len(uniq), d)
-
 
 def _active_rows(triples: np.ndarray, coeffs: np.ndarray,
                  residual: np.ndarray | None, energies: np.ndarray):
@@ -251,10 +147,8 @@ def sgd_step(params: Parameters, entity_grads: RowGrads,
     for grads in (entity_grads, relation_grads):
         if not np.isfinite(grads.rows).all():
             raise LsekgError("non-finite gradient; step aborted")
-    rel = (params.relation_matrices if params.kind.uses_matrix
-           else params.relation_vectors)
     for table, grads in ((params.entities, entity_grads),
-                         (rel, relation_grads)):
+                         (params.relations, relation_grads)):
         table[grads.ids] -= learning_rate * grads.rows
 
 
@@ -429,10 +323,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        f.write(np.ascontiguousarray(params.entities, dtype="<f8").tobytes())
-        rel = (params.relation_matrices if params.kind.uses_matrix
-               else params.relation_vectors)
-        f.write(np.ascontiguousarray(rel, dtype="<f8").tobytes())
+        for table in (params.entities, params.relations):
+            f.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -443,6 +335,11 @@ def _read_exact(f, count: int, what: str) -> bytes:
             f"truncated checkpoint: expected {count} bytes for {what}, "
             f"got {max(remaining, 0)}")
     return f.read(count)
+
+
+def _read_array(f, shape: tuple[int, ...], what: str) -> np.ndarray:
+    return np.frombuffer(_read_exact(f, 8 * math.prod(shape), what),
+                         dtype="<f8").reshape(shape).copy()
 
 
 def _meta_int(meta: dict, key: str, minimum: int) -> int:
@@ -501,15 +398,11 @@ def load_checkpoint(path) -> Checkpoint:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConsistencyError(
                 f"corrupt checkpoint metadata: {exc!r}") from exc
-        entities = np.frombuffer(
-            _read_exact(f, n_e * d * 8, "entity array"), dtype="<f8"
-        ).reshape(n_e, d).copy()
-        rel_size = n_r * d * d if kind.uses_matrix else n_r * d
-        rel = np.frombuffer(
-            _read_exact(f, rel_size * 8, "relation array"), dtype="<f8"
-        ).copy()
-        rel = (rel.reshape(n_r, d, d) if kind.uses_matrix
-               else rel.reshape(n_r, d))
+        if config.dim != d:
+            raise ConsistencyError(f"checkpoint config dim {config.dim} != d")
+        entities = _read_array(f, (n_e, d), "entity array")
+        rel = _read_array(f, (n_r, d, d) if kind.uses_matrix else (n_r, d),
+                          "relation array")
         trailing = f.read(1)
         if trailing:
             raise ConsistencyError("checkpoint has trailing bytes")
@@ -518,11 +411,9 @@ def load_checkpoint(path) -> Checkpoint:
         entity_to_id=entity_to_id, id_to_entity=tuple(entity_to_id),
         relation_to_id=relation_to_id, id_to_relation=tuple(relation_to_id),
     )
-    params = Parameters(
-        kind=kind, d=d, entities=entities,
-        relation_vectors=None if kind.uses_matrix else rel,
-        relation_matrices=rel if kind.uses_matrix else None,
-    )
+    rel_field = ("relation_matrices" if kind.uses_matrix
+                 else "relation_vectors")
+    params = Parameters(kind=kind, d=d, entities=entities, **{rel_field: rel})
     return Checkpoint(kind=kind, d=d, n_e=n_e, n_r=n_r,
                       vocabulary=vocabulary, params=params,
                       config=config, step=step,

@@ -39,6 +39,15 @@ class TestLoadSplit:
         with pytest.raises(InputError, match=":2"):
             load_split(path)
 
+    def test_empty_field_names_line(self, tsv):
+        path = tsv("t.txt", [b"a\tr\tb\n", b"a\t\tb\n"])
+        with pytest.raises(InputError, match="t.txt:2"):
+            load_split(path)
+
+    def test_leading_byte_order_mark_dropped(self, tsv):
+        path = tsv("t.txt", [b"\xef\xbb\xbfc\tr\td\n", b"d\tr\tc\n"])
+        assert load_split(path) == [("c", "r", "d"), ("d", "r", "c")]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_split(tmp_path / "nope.txt")

@@ -6,6 +6,7 @@ from lsekg.data import RelationStats
 from lsekg.models import (_BLOCK_ROWS, ModelKind, Parameters,
                           all_head_energies, all_tail_energies, energy,
                           energy_gradients, init_params, lemma_diagnostics)
+from lsekg.training import _batch_energies, _batch_gradients
 
 KINDS = list(ModelKind)
 EPS = np.finfo(float).eps
@@ -189,7 +190,34 @@ class TestGradients:
         np.testing.assert_allclose(g.d_relation, fd_rel, rtol=tol, atol=tol)
 
 
+def assert_matches_oracle(kind, batched, singles):
+    """The block scan and the scalar oracle share the kernel: bitwise for
+    the elementwise maps. LSE's matmul may block its sums differently over
+    a block than over one row, and DistMult ranks by a matrix-vector
+    product."""
+    if kind in (ModelKind.LSE_D, ModelKind.TRANSE):
+        assert np.array_equal(batched, singles)
+    else:
+        np.testing.assert_allclose(batched, singles, rtol=1e-12)
+
+
 class TestBatchedKernels:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    def test_oracle_is_training_kernel(self, kind, p_norm):
+        params = make_params(kind, seed=24)
+        h, r, t = 1, 2, 4
+        triple = np.array([[h, r, t]])
+        energies, residual = _batch_energies(params, triple, p_norm)
+        assert energy(params, h, r, t, p_norm) == energies[0]
+        ent_g, rel_g = _batch_gradients(params, triple, np.ones(1), residual,
+                                        p_norm, energies)
+        g = energy_gradients(params, h, r, t, p_norm)
+        assert ent_g.ids.tolist() == [h, t] and rel_g.ids.tolist() == [r]
+        assert np.array_equal(ent_g.rows[0], g.d_head)
+        assert np.array_equal(ent_g.rows[1], g.d_tail)
+        assert np.array_equal(rel_g.rows[0], g.d_relation)
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("p_norm", [1, 2])
     def test_all_tail_matches_per_call(self, kind, p_norm):
@@ -197,7 +225,7 @@ class TestBatchedKernels:
         batched = all_tail_energies(params, 1, 0, p_norm)
         singles = [energy(params, 1, 0, e, p_norm)
                    for e in range(params.n_e)]
-        np.testing.assert_allclose(batched, singles, rtol=1e-12)
+        assert_matches_oracle(kind, batched, singles)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("p_norm", [1, 2])
@@ -206,7 +234,7 @@ class TestBatchedKernels:
         batched = all_head_energies(params, 0, 2, p_norm)
         singles = [energy(params, e, 0, 2, p_norm)
                    for e in range(params.n_e)]
-        np.testing.assert_allclose(batched, singles, rtol=1e-12)
+        assert_matches_oracle(kind, batched, singles)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("p_norm", [1, 2])

@@ -155,24 +155,26 @@ class TestScreeningMatchesLoop:
 
 
 class TestGenerateBatch:
+    """A batch of negatives drawn by `corrupt_batch`."""
+
     def test_cardinality(self):
         sampler = make_sampler(k=4)
-        out = sampler.generate_batch([Triple(0, 0, 1), Triple(2, 0, 3)])
+        out = sampler.corrupt_batch(np.array([Triple(0, 0, 1),
+                                              Triple(2, 0, 3)]))
         assert len(out) == 2
-        assert all(len(negs) == 4 for _, negs in out)
+        assert all(len(negs) == 4 for negs in out)
 
     def test_deterministic_given_seed(self):
-        a = make_sampler(k=3, seed=42).generate_batch(
-            [Triple(0, 0, 1), Triple(2, 0, 3)])
-        b = make_sampler(k=3, seed=42).generate_batch(
-            [Triple(0, 0, 1), Triple(2, 0, 3)])
-        assert a == b
+        pos = np.array([Triple(0, 0, 1), Triple(2, 0, 3)])
+        a = make_sampler(k=3, seed=42).corrupt_batch(pos)
+        b = make_sampler(k=3, seed=42).corrupt_batch(pos)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        pos = [Triple(0, 0, 1)] * 20
-        a = make_sampler(k=3, seed=1).generate_batch(pos)
-        b = make_sampler(k=3, seed=2).generate_batch(pos)
-        assert a != b
+        pos = np.array([Triple(0, 0, 1)] * 20)
+        a = make_sampler(k=3, seed=1).corrupt_batch(pos)
+        b = make_sampler(k=3, seed=2).corrupt_batch(pos)
+        assert not np.array_equal(a, b)
 
     def test_replacement_differs_with_expected_probability(self):
         # replaced entity equals the original with probability 1/n_e

@@ -566,6 +566,35 @@ class TestCheckpointFuzz:
         with pytest.raises(ConsistencyError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("changes", [
+        {"p": True}, {"seed": "x"}, {"dim": 500}, {"sampler.seed": [1]},
+        {"normalize_entities": 1},
+        {"p": True, "seed": "x", "dim": 500, "sampler.seed": [1]},
+    ], ids=repr)
+    def test_bad_stored_config_rejected(self, tmp_path, changes):
+        ckpt = small_checkpoint()
+        ckpt.params = init_params(ModelKind.LSE_D, 3, 2, 1, seed=0)
+        ckpt.d, ckpt.config = 1, TrainConfig(dim=1)
+        meta, arrays = split_checkpoint(checkpoint_bytes(tmp_path, ckpt))
+        for key, value in changes.items():
+            outer, _, inner = key.partition(".")
+            if inner:
+                meta["config"][outer][inner] = value
+            else:
+                meta["config"][outer] = value
+        path = tmp_path / "config.ckpt"
+        path.write_bytes(join_checkpoint(meta, arrays))
+        with pytest.raises(ConsistencyError):
+            load_checkpoint(path)
+
+    def test_integer_float_config_value_loads(self, tmp_path):
+        meta, arrays = split_checkpoint(
+            checkpoint_bytes(tmp_path, small_checkpoint()))
+        meta["config"]["margin"] = 6
+        path = tmp_path / "int.ckpt"
+        path.write_bytes(join_checkpoint(meta, arrays))
+        assert load_checkpoint(path).config.margin == 6
+
     def test_huge_metadata_length_rejected(self, tmp_path):
         path = tmp_path / "long.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", 2**64 - 1))
