@@ -8,8 +8,10 @@ lines) < explicit flags. Exit codes: 0 ok, 1 internal error, 2 input/IO,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,8 +23,8 @@ from lsekg.evaluation import aggregate, evaluate, report
 from lsekg.models import ModelKind, lemma_diagnostics
 from lsekg.sampling import SamplerConfig
 from lsekg.synth import PATTERNS, generate
-from lsekg.training import (Checkpoint, TrainConfig, load_checkpoint,
-                            save_checkpoint, train)
+from lsekg.training import (NORMS, Checkpoint, TrainConfig,
+                            load_checkpoint, save_checkpoint, train)
 
 OUTPUT_DIR_ENV = "LSEKG_OUT"
 
@@ -45,9 +47,31 @@ PROFILES = {
     },
 }
 
-_FLAG_KEYS = ("dim", "margin", "p", "learning_rate", "batch_size",
-              "negatives", "loss", "max_steps", "eval_every", "patience",
-              "mode")
+# sampler fields set under their profile names; the sampler seed is `seed`
+_SAMPLER_KEYS = {"negatives": "negatives_per_positive", "mode": "mode",
+                 "filter_false_negatives": "filter_false_negatives"}
+# `train` flags not spelled --<key with - for _>
+_FLAG_ALIASES = {"learning_rate": ("--lr",), "mode": ("--sampling-mode",),
+                 "negatives": ("--negatives", "-k")}
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _fields(cls) -> dict[str, tuple[type, tuple | None]]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.metadata.get("choices"))
+            for f in dataclasses.fields(cls)}
+
+
+def _config_keys() -> dict[str, tuple[type, tuple | None]]:
+    keys = _fields(TrainConfig)
+    del keys["sampler"]
+    sampler = _fields(SamplerConfig)
+    return keys | {key: sampler[name] for key, name in _SAMPLER_KEYS.items()}
+
+
+# every config-file key and `train` flag: key -> (type, choices or None)
+CONFIG_KEYS = _config_keys()
 
 
 def _default_out() -> str:
@@ -71,63 +95,34 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve_train_config(args) -> tuple[TrainConfig, dict]:
+def _parse_value(kind: type, text: str):
+    """`text` as a `kind`; a bool is a `_BOOLEANS` key, in any case."""
+    return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+
+
+def _resolve_train_config(args) -> TrainConfig:
     resolved = dict(PROFILES[args.profile])
     if args.config:
-        for key, value in _read_config_file(args.config).items():
-            if key not in resolved and key not in (
-                    "seed", "filter_false_negatives", "normalize_entities"):
+        for key, text in _read_config_file(args.config).items():
+            if key not in CONFIG_KEYS:
                 raise InputError(f"unknown config key {key!r}")
-            current = resolved.get(key)
-            if isinstance(current, bool) or key in ("filter_false_negatives",
-                                                    "normalize_entities"):
-                resolved[key] = value.lower() in ("1", "true", "yes")
-            else:
-                convert = str
-                if isinstance(current, float):
-                    convert = float
-                elif isinstance(current, int) or key == "seed":
-                    convert = int
-                try:
-                    resolved[key] = convert(value)
-                except ValueError:
-                    raise InputError(
-                        f"{args.config}: {key}={value!r} is not "
-                        f"{convert.__name__}") from None
-    for key in _FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            resolved[key] = value
-    resolved.setdefault("seed", 0)
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    if args.filter_false_negatives:
-        resolved["filter_false_negatives"] = True
-    if args.normalize_entities:
-        resolved["normalize_entities"] = True
-
+            kind = CONFIG_KEYS[key][0]
+            try:
+                resolved[key] = _parse_value(kind, text)
+            except (KeyError, ValueError):
+                raise InputError(f"{args.config}: {key}={text!r} is not "
+                                 f"{kind.__name__}") from None
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
+    sampler = {name: resolved.pop(key) for key, name in _SAMPLER_KEYS.items()
+               if key in resolved}
     try:
-        sampler = SamplerConfig(
-            mode=resolved["mode"],
-            negatives_per_positive=resolved["negatives"],
-            filter_false_negatives=bool(
-                resolved.get("filter_false_negatives", False)),
-            seed=resolved["seed"],
-        )
-        config = TrainConfig(
-            loss=resolved["loss"], margin=resolved["margin"],
-            p=resolved["p"], learning_rate=resolved["learning_rate"],
-            batch_size=resolved["batch_size"], dim=resolved["dim"],
-            max_steps=resolved["max_steps"],
-            eval_every=resolved["eval_every"],
-            patience=resolved["patience"], seed=resolved["seed"],
-            normalize_entities=bool(
-                resolved.get("normalize_entities", False)),
-            sampler=sampler,
-        )
+        config = TrainConfig(**resolved, sampler=SamplerConfig(**sampler))
     except ValueError as exc:
         raise InputError(f"invalid training config: {exc}") from exc
-    return config, resolved
+    config.sampler.seed = config.seed  # one seed for init, sampling, shuffle
+    return config
 
 
 def _split_paths(args) -> dict[str, str]:
@@ -194,7 +189,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, _ = _resolve_train_config(args)
+    config = _resolve_train_config(args)
     kind = ModelKind(args.model)
     dataset = _load_dataset(_split_paths(args))
     _banner(kind, config, dataset.vocabulary.n_e, dataset.vocabulary.n_r)
@@ -360,21 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--profile", choices=sorted(PROFILES),
                          default="desk")
     p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--dim", type=int)
-    p_train.add_argument("--margin", type=float)
-    p_train.add_argument("--p", type=int, choices=(1, 2), dest="p")
-    p_train.add_argument("--lr", type=float, dest="learning_rate")
-    p_train.add_argument("--batch-size", type=int, dest="batch_size")
-    p_train.add_argument("--negatives", "-k", type=int)
-    p_train.add_argument("--loss", choices=("margin", "ce"))
-    p_train.add_argument("--max-steps", type=int, dest="max_steps")
-    p_train.add_argument("--eval-every", type=int, dest="eval_every")
-    p_train.add_argument("--patience", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--sampling-mode", choices=("uniform", "bernoulli"),
-                         dest="mode")
-    p_train.add_argument("--filter-false-negatives", action="store_true")
-    p_train.add_argument("--normalize-entities", action="store_true")
+    for key, (kind, choices) in CONFIG_KEYS.items():
+        names = _FLAG_ALIASES.get(key, ("--" + key.replace("_", "-"),))
+        if kind is bool:
+            p_train.add_argument(*names, dest=key, action="store_const",
+                                 const=True)
+        else:
+            p_train.add_argument(*names, dest=key, type=kind,
+                                 choices=choices)
     p_train.add_argument("--out")
     p_train.set_defaults(func=cmd_train)
 
@@ -386,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--filter-with", default="train,valid,test",
                         help="comma-separated splits for the filtered "
                              "setting")
-    p_eval.add_argument("--p", type=int, choices=(1, 2), dest="p")
+    p_eval.add_argument("--p", type=int, choices=NORMS, dest="p")
     p_eval.add_argument("--tie-policy", default="mean",
                         choices=("optimistic", "pessimistic", "mean"))
     p_eval.add_argument("--threads", type=int, default=1)

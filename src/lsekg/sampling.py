@@ -10,7 +10,7 @@ the training filter index redraws candidates that are known-true, capped at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -20,17 +20,18 @@ from lsekg.data import FilterIndex, RelationStats
 from lsekg.seeding import substream
 
 REDRAW_CAP = 100
+MODES = ("bernoulli", "uniform")
 
 
 @dataclass
 class SamplerConfig:
-    mode: str = "bernoulli"  # "bernoulli" | "uniform"
+    mode: str = field(default="bernoulli", metadata={"choices": MODES})
     negatives_per_positive: int = 1
     filter_false_negatives: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("bernoulli", "uniform"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")

@@ -3,7 +3,7 @@ validation-based early stopping, and binary checkpoints.
 
 Only the entity rows and relation parameters touched by a batch are updated;
 every other row is left bitwise unchanged. Training is single-threaded and
-fully deterministic given the config seed.
+fully deterministic given the config and sampler seeds.
 """
 
 from __future__ import annotations
@@ -36,13 +36,16 @@ from lsekg.seeding import substream
 PROB_CLAMP = 1e-7
 CHECKPOINT_MAGIC = b"LSEKGE1\n"
 CHECKPOINT_VERSION = 1
+LOSSES = ("margin", "ce")
+NORMS = (1, 2)  # the p of the energy's p-norm
 
 
 @dataclass
 class TrainConfig:
-    loss: str = "margin"  # "margin" | "ce"
+    # a field's "choices" metadata is the value set the CLI offers
+    loss: str = field(default="margin", metadata={"choices": LOSSES})
     margin: float = 6.0
-    p: int = 1
+    p: int = field(default=1, metadata={"choices": NORMS})
     learning_rate: float = 5e-4
     batch_size: int = 512
     dim: int = 200
@@ -56,14 +59,19 @@ class TrainConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
-        if self.loss not in ("margin", "ce"):
+        if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.p not in (1, 2):
+        if self.p not in NORMS:
             raise ValueError("norm p must be 1 or 2")
-        if self.margin <= 0 or self.learning_rate <= 0:
-            raise ValueError("margin and learning rate must be positive")
+        if not (0 < self.margin < math.inf
+                and 0 < self.learning_rate < math.inf):
+            raise ValueError("margin and learning rate must be positive "
+                             "and finite")
         if self.batch_size < 1 or self.dim < 1:
             raise ValueError("batch size and dim must be at least 1")
+        if min(self.max_steps, self.eval_every, self.patience) < 0:
+            raise ValueError("max steps, eval every and patience must not "
+                             "be negative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -207,8 +215,7 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
     stats = compute_bernoulli_stats(dataset.train)
     train_filter = (build_filter_index([dataset.train], ["train"])
                     if config.sampler.filter_false_negatives else None)
-    sampler_config = dataclasses.replace(config.sampler, seed=config.seed)
-    sampler = NegativeSampler(vocab.n_e, sampler_config, stats, train_filter)
+    sampler = NegativeSampler(vocab.n_e, config.sampler, stats, train_filter)
     valid_filter = (build_filter_index([dataset.train, dataset.valid],
                                        ["train", "valid"])
                     if dataset.valid else None)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import struct
@@ -10,10 +11,12 @@ import pytest
 
 import lsekg
 from lsekg import InputError
-from lsekg.cli import _read_config_file, main
+from lsekg.cli import (_SAMPLER_KEYS, CONFIG_KEYS, _read_config_file,
+                       _resolve_train_config, build_parser, main)
 from lsekg.data import build_dataset, detect_patterns, load_split
 from lsekg.synth import generate
 from lsekg.training import CHECKPOINT_MAGIC, load_checkpoint
+from test_acceptance import desk_config
 
 
 class TestSymmetricPattern:
@@ -320,12 +323,19 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("flag", [("--margin", "-1"),
                                       ("--batch-size", "0"),
-                                      ("--negatives", "0")])
+                                      ("--negatives", "0"),
+                                      ("--max-steps", "-1"),
+                                      ("--eval-every", "-2"),
+                                      ("--patience", "-1"),
+                                      ("--lr", "nan"),
+                                      ("--margin", "inf")])
     def test_bad_flag_value_exit_2(self, capsys, tmp_path, flag):
         assert self.train(capsys, tmp_path, *flag) == 2
 
     @pytest.mark.parametrize("line", ["margin=wide", "dim=3.5",
-                                      "seed=x", "loss=hinge"])
+                                      "seed=x", "loss=hinge",
+                                      "normalize_entities=ture",
+                                      "filter_false_negatives=2"])
     def test_bad_config_value_exit_2(self, capsys, tmp_path, line):
         config = tmp_path / "bad.conf"
         config.write_text(line + "\n")
@@ -374,3 +384,52 @@ class TestCliExitCodes:
             gc.collect()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
+
+
+def resolve(*argv):
+    return _resolve_train_config(build_parser().parse_args(
+        ["train", "--model", "lse", *argv]))
+
+
+def flat_fields(config) -> dict:
+    fields = config.to_dict()
+    sampler = fields.pop("sampler")
+    return fields | {f"sampler.{name}": v for name, v in sampler.items()}
+
+
+class TestConfigKeys:
+    """Each training key is declared once, as a TrainConfig or SamplerConfig
+    field; the config file and the `train` flags both read it there."""
+
+    def test_file_line_and_flag_agree_for_every_field(self, tmp_path):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.option_strings[0]
+                 for a in subparsers.choices["train"]._actions}
+        base = flat_fields(resolve("--profile", "paper"))
+        set_fields = set()
+        for key, (kind, choices) in CONFIG_KEYS.items():
+            current = base[f"sampler.{_SAMPLER_KEYS[key]}"
+                           if key in _SAMPLER_KEYS else key]
+            if kind is bool:
+                assert current is False
+                text, argv = "true", [flags[key]]
+            else:
+                value = (next(c for c in choices if c != current) if choices
+                         else current + 1 if kind is int else current * 2)
+                text, argv = str(value), [flags[key], str(value)]
+            conf = tmp_path / f"{key}.conf"
+            conf.write_text(f"{key}={text}\n")
+            from_file = resolve("--profile", "paper", "--config", str(conf))
+            from_flag = resolve("--profile", "paper", *argv)
+            assert from_file == from_flag, key
+            changed = {name for name, v in flat_fields(from_file).items()
+                       if v != base[name]}
+            assert changed, key
+            set_fields |= changed
+        # every field of both dataclasses is set by some key
+        assert set_fields == set(base)
+
+    def test_desk_profile_is_the_acceptance_config(self):
+        assert resolve("--profile", "desk", "--seed", "9") == desk_config(
+            seed=9)

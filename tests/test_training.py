@@ -355,6 +355,22 @@ class TestTrain:
               log=b.append)
         assert a != b
 
+    def test_sampler_seed_is_honoured(self, tiny_dataset, tmp_path):
+        """With one config seed, the sampler draws from its own seed, and
+        the checkpoint stores the seed it drew from."""
+        tables = []
+        for seed in (0, 99):
+            config = desk_config(max_steps=10, eval_every=0,
+                                 sampler=SamplerConfig(
+                                     negatives_per_positive=4, seed=seed))
+            path = tmp_path / f"{seed}.ckpt"
+            save_checkpoint(train(tiny_dataset, ModelKind.LSE_D, config),
+                            path)
+            loaded = load_checkpoint(path)
+            assert loaded.config.sampler.seed == seed
+            tables.append(loaded.params.entities)
+        assert not np.array_equal(*tables)
+
     def test_checkpoint_metadata(self, tiny_dataset):
         ckpt = train(tiny_dataset, ModelKind.LSE_D, desk_config())
         assert ckpt.kind is ModelKind.LSE_D
