@@ -10,9 +10,12 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple
 
-from lsekg import InputError
+import numpy as np
+
+from lsekg import ConsistencyError, InputError
 
 RawTriple = tuple[str, str, str]
 
@@ -151,39 +154,109 @@ def build_dataset(train: Iterable[RawTriple],
                    duplicates_dropped=duplicates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterIndex:
     """Known-true triple index for the filtered evaluation setting and for
-    false-negative screening during sampling."""
+    false-negative screening during sampling.
 
-    tails_of: dict[tuple[int, int], frozenset[int]]
-    heads_of: dict[tuple[int, int], frozenset[int]]
+    The triples are held as two sorted, duplicate-free int64 key arrays over
+    the id ranges `n_e` and `n_r`, one more than the largest entity and
+    relation id indexed: tail-major keys (h * n_r + r) * n_e + t and
+    head-major keys (r * n_e + t) * n_e + h. The known tails of (h, r), or
+    heads of (r, t), are then one contiguous run of keys. An id outside
+    the ranges is never known.
+    """
+
+    n_e: int
+    n_r: int
+    tail_keys: np.ndarray
+    head_keys: np.ndarray
     source_splits: tuple[str, ...] = ()
 
-    def __contains__(self, triple: Triple) -> bool:
-        h, r, t = triple
-        return t in self.tails_of.get((h, r), ())
+    def contains(self, triples) -> np.ndarray:
+        """Whether each triple of a (..., 3) id array is known-true."""
+        triples = np.asarray(triples, np.int64)
+        shape = triples.shape[:-1]
+        if not len(self.tail_keys):
+            return np.zeros(shape, bool)
+        h, r, t = triples.reshape(-1, 3).T
+        base = self._bases(h, r, self.n_e, self.n_r)
+        # -1 matches no key, so an id out of range never aliases a triple
+        keys = np.where((base >= 0) & (0 <= t) & (t < self.n_e), base + t, -1)
+        pos = np.searchsorted(self.tail_keys, keys)
+        np.minimum(pos, len(self.tail_keys) - 1, out=pos)
+        return (self.tail_keys[pos] == keys).reshape(shape)
 
-    def true_tails(self, head: int, relation: int) -> frozenset[int]:
-        return self.tails_of.get((head, relation), frozenset())
+    def __contains__(self, triple) -> bool:
+        return bool(self.contains(tuple(triple)))
 
-    def true_heads(self, relation: int, tail: int) -> frozenset[int]:
-        return self.heads_of.get((relation, tail), frozenset())
+    def known_tails(self, heads, relations) -> list[np.ndarray]:
+        """The sorted known tail ids of each (head, relation) pair."""
+        return self._runs(self.tail_keys,
+                          self._bases(heads, relations, self.n_e, self.n_r))
+
+    def known_heads(self, relations, tails) -> list[np.ndarray]:
+        """The sorted known head ids of each (relation, tail) pair."""
+        return self._runs(self.head_keys,
+                          self._bases(relations, tails, self.n_r, self.n_e))
+
+    def true_tails(self, head: int, relation: int) -> np.ndarray:
+        return self.known_tails([head], [relation])[0]
+
+    def true_heads(self, relation: int, tail: int) -> np.ndarray:
+        return self.known_heads([relation], [tail])[0]
+
+    def _bases(self, major, minor, n_major: int, n_minor: int) -> np.ndarray:
+        """The first key of each (major, minor) prefix, (major * n_minor +
+        minor) * n_e, or -1 where an id is out of its range."""
+        major = np.asarray(major, np.int64)
+        minor = np.asarray(minor, np.int64)
+        known = ((0 <= major) & (major < n_major)
+                 & (0 <= minor) & (minor < n_minor))
+        # an id out of range may overflow here; its base is dropped
+        return np.where(known, (major * n_minor + minor) * self.n_e, -1)
+
+    def _runs(self, keys: np.ndarray, bases: np.ndarray) -> list[np.ndarray]:
+        """The keys in [base, base + n_e) less their base, for each base:
+        one search finds the bounds of every run. A base of -1 has none."""
+        ends = np.where(bases < 0, bases, bases + self.n_e)
+        bounds = np.searchsorted(keys, np.concatenate([bases, ends]))
+        n = len(bases)
+        return [keys[lo:hi] - base for lo, hi, base in
+                zip(bounds[:n].tolist(), bounds[n:].tolist(), bases.tolist())]
 
 
-def build_filter_index(splits: Iterable[TripleSet],
+def triple_array(split: TripleSet | np.ndarray) -> np.ndarray:
+    """A split of triples, or an int id array, as an (n, 3) int64 array."""
+    if isinstance(split, np.ndarray):
+        return split.astype(np.int64, copy=False).reshape(-1, 3)
+    return np.fromiter(chain.from_iterable(split), np.int64,
+                       3 * len(split)).reshape(-1, 3)
+
+
+def build_filter_index(splits: Iterable[TripleSet | np.ndarray],
                        names: Iterable[str] = ()) -> FilterIndex:
-    """Index the union of the given splits by (head, relation) and
-    (relation, tail)."""
-    tails: dict[tuple[int, int], set[int]] = defaultdict(set)
-    heads: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for split in splits:
-        for h, r, t in split:
-            tails[(h, r)].add(t)
-            heads[(r, t)].add(h)
+    """Index the union of the given splits, each a tuple of triples or an
+    (n, 3) int array, by (head, relation) and (relation, tail).
+
+    Raises `ConsistencyError` for a negative id, or when the keys of the
+    id ranges, n_e * n_e * n_r of them, do not fit in int64.
+    """
+    triples = np.concatenate(
+        [np.empty((0, 3), np.int64)] + [triple_array(s) for s in splits])
+    if triples.min(initial=0) < 0:
+        raise ConsistencyError("a triple to index has a negative id")
+    h, r, t = triples.T
+    n_e = int(max(h.max(initial=-1), t.max(initial=-1))) + 1
+    n_r = int(r.max(initial=-1)) + 1
+    if n_e * n_e * n_r > np.iinfo(np.int64).max:
+        raise ConsistencyError(
+            f"cannot index {n_e} entities and {n_r} relations: "
+            f"{n_e}^2 * {n_r} triple keys do not fit in int64")
     return FilterIndex(
-        tails_of={k: frozenset(v) for k, v in tails.items()},
-        heads_of={k: frozenset(v) for k, v in heads.items()},
+        n_e=n_e, n_r=n_r,
+        tail_keys=np.unique((h * n_r + r) * n_e + t),
+        head_keys=np.unique((r * n_e + t) * n_e + h),
         source_splits=tuple(names),
     )
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lsekg import ConsistencyError
-from lsekg.data import FilterIndex, Triple, TripleSet
+from lsekg.data import FilterIndex, Triple, TripleSet, triple_array
 from lsekg.models import Parameters, all_head_energies, all_tail_energies
 
 TIE_POLICIES = ("optimistic", "pessimistic", "mean")
@@ -27,13 +27,24 @@ def _check_tie_policy(tie_policy: str) -> None:
         raise ValueError(f"unknown tie policy {tie_policy!r}")
 
 
+def _nan_last(energies: np.ndarray, e_truth) -> tuple[np.ndarray, float]:
+    """The energies and the truth's energy with NaN read as +inf, so that a
+    NaN ranks behind every finite energy and ties with the other NaNs.
+    Below +inf a NaN candidate already counts as neither better nor tied,
+    so only a NaN or +inf truth needs the copy."""
+    if e_truth < np.inf:
+        return energies, e_truth
+    return np.where(np.isnan(energies), np.inf, energies), np.inf
+
+
 def rank_of_truth(energies: np.ndarray, truth: int,
                   mask=None, tie_policy: str = "mean") -> float:
     """Rank of `truth` in an ascending-energy ordering of the candidates.
 
     Candidates in `mask` (other known-true entities, filtered setting) are
     excluded. Ties with the truth contribute 0 (optimistic), all
-    (pessimistic), or half (mean, the default) to the rank.
+    (pessimistic), or half (mean, the default) to the rank. A NaN energy
+    ranks as +inf.
     """
     _check_tie_policy(tie_policy)
     energies = np.asarray(energies)
@@ -45,29 +56,29 @@ def rank_of_truth(energies: np.ndarray, truth: int,
         if not keep[truth]:
             raise ConsistencyError("truth must not be masked")
     keep[truth] = False
-    e_truth = energies[truth]
+    energies, e_truth = _nan_last(energies, energies[truth])
     others = energies[keep]
     better = int((others < e_truth).sum())
     equal = int((others == e_truth).sum())
     return _tie_rank(better, equal, tie_policy)
 
 
-def _raw_and_filtered_ranks(energies: np.ndarray, truth: int, known,
+def _raw_and_filtered_ranks(energies: np.ndarray, truth: int,
+                            known: np.ndarray,
                             tie_policy: str) -> tuple[float, float]:
     """The raw and the filtered `rank_of_truth` of one query, from one
     comparison pass over all candidates.
 
     The better and tied candidates are counted once over every entity; the
-    filtered rank then takes away those at the known-true ids (`known` may
-    hold the truth itself, which is never counted).
+    filtered rank then takes away those at the known-true ids (`known`, an
+    int array, may hold the truth itself, which is never counted).
     """
-    e_truth = energies[truth]
+    energies, e_truth = _nan_last(energies, energies[truth])
     better = np.count_nonzero(energies < e_truth)
-    # the truth ties with itself unless its energy is NaN
-    equal = np.count_nonzero(energies == e_truth) - int(e_truth == e_truth)
+    # less the truth, which ties with itself
+    equal = np.count_nonzero(energies == e_truth) - 1
     raw = _tie_rank(int(better), int(equal), tie_policy)
-    ids = np.fromiter(known, np.intp, len(known))
-    ids = ids[ids != truth]
+    ids = known[known != truth]
     if not len(ids):
         return raw, raw
     e_known = energies[ids]
@@ -155,17 +166,18 @@ def evaluate(params: Parameters, eval_set: TripleSet,
             raise ConsistencyError(
                 f"triple {tuple(triple)} outside the model vocabulary "
                 f"(n_e={n_e}, n_r={n_r})")
+    ids = triple_array(eval_set)
+    known_tails = filter_index.known_tails(ids[:, 0], ids[:, 1])
+    known_heads = filter_index.known_heads(ids[:, 1], ids[:, 2])
     records: list[RankRecord] = []
-    for triple in eval_set:
+    for triple, tails, heads in zip(eval_set, known_tails, known_heads):
         h, r, t = triple
         raw, filtered = _raw_and_filtered_ranks(
-            all_tail_energies(params, h, r, p), t,
-            filter_index.true_tails(h, r), tie_policy)
+            all_tail_energies(params, h, r, p), t, tails, tie_policy)
         records.append(RankRecord(triple=triple, side="tail",
                                   raw_rank=raw, filtered_rank=filtered))
         raw, filtered = _raw_and_filtered_ranks(
-            all_head_energies(params, r, t, p), h,
-            filter_index.true_heads(r, t), tie_policy)
+            all_head_energies(params, r, t, p), h, heads, tie_policy)
         records.append(RankRecord(triple=triple, side="head",
                                   raw_rank=raw, filtered_rank=filtered))
     return aggregate(records, tie_policy), records

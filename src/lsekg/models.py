@@ -301,7 +301,8 @@ def _scan_entities(params: Parameters, fill, p: int) -> np.ndarray:
     `fill(rows, out)` writes the residuals of a block of entity rows into
     `out`, a view of one (block, d) buffer that every block reuses. Each row
     is still summed whole, so the energies are bitwise those of an unblocked
-    pass with the same residuals.
+    pass with the same residuals. The callers score a table of one block
+    whole instead, which saves the buffer and the call on small tables.
     """
     ents = params.entities
     n_e = ents.shape[0]
@@ -318,9 +319,12 @@ def _scan_entities(params: Parameters, fill, p: int) -> np.ndarray:
 def all_tail_energies(params: Parameters, h: int, r: int,
                       p: int = 1) -> np.ndarray:
     """Energies of (h, r, e) for every entity e, as one batched pass."""
-    mapped = map_heads(params, params.entities[h], r)
+    ents = params.entities
+    mapped = map_heads(params, ents[h], r)
     if params.kind is ModelKind.DISTMULT:
-        return -(params.entities @ mapped)
+        return -(ents @ mapped)
+    if len(ents) <= _BLOCK_ROWS:  # one block: the scan's work, unwrapped
+        return _row_norms(np.subtract(mapped, ents), p, overwrite=True)
     return _scan_entities(
         params, lambda rows, out: np.subtract(mapped, rows, out=out), p)
 
@@ -328,10 +332,15 @@ def all_tail_energies(params: Parameters, h: int, r: int,
 def all_head_energies(params: Parameters, r: int, t: int,
                       p: int = 1) -> np.ndarray:
     """Energies of (e, r, t) for every entity e."""
-    t_row = params.entities[t]
+    ents = params.entities
+    t_row = ents[t]
     if params.kind is ModelKind.DISTMULT:
         # a diagonal map: (e * r) . t = e . (t * r)
-        return -(params.entities @ map_heads(params, t_row, r))
+        return -(ents @ map_heads(params, t_row, r))
+    if len(ents) <= _BLOCK_ROWS:
+        residual = map_heads(params, ents, r)
+        residual -= t_row
+        return _row_norms(residual, p, overwrite=True)
 
     def fill(rows, out):
         # for LSE, a matmul over one block of rows may block its sums

@@ -11,7 +11,6 @@ the training filter index redraws candidates that are known-true, capped at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -48,23 +47,6 @@ def corruption_side_probability(stats: RelationStats | None,
     return stats.tph / (stats.tph + stats.hpt)
 
 
-def _triple_keys(index: FilterIndex) -> tuple[tuple[int, int], np.ndarray]:
-    """Key sizes (n_e, n_r), one more than the largest entity and relation
-    id in `index`, and the sorted keys (h * n_r + r) * n_e + t of its
-    triples, then the largest int64 as a sentinel, so that a lookup never
-    runs past the end."""
-    pairs = index.tails_of
-    hr = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-    sizes = np.fromiter(map(len, pairs.values()), np.int64, len(pairs))
-    tails = np.fromiter(chain.from_iterable(pairs.values()), np.int64,
-                        int(sizes.sum()))
-    h, r = np.repeat(hr.reshape(-1, 2), sizes, axis=0).T
-    n_e = max(h.max(initial=-1), tails.max(initial=-1)) + 1
-    n_r = r.max(initial=-1) + 1
-    keys = np.sort((h * n_r + r) * n_e + tails)
-    return (n_e, n_r), np.append(keys, np.iinfo(np.int64).max)
-
-
 class NegativeSampler:
     """Stateful corruption sampler; one instance per worker, not thread-safe.
 
@@ -81,9 +63,6 @@ class NegativeSampler:
         self.filter_index = filter_index if config.filter_false_negatives else None
         self.rng = substream(config.seed, "sampling", worker)
         self.redraw_cap_hits = 0
-        if self.filter_index is not None:
-            self._key_shape, self._true_keys = _triple_keys(
-                self.filter_index)
 
         if config.mode == "bernoulli":
             if stats is None:
@@ -134,28 +113,24 @@ class NegativeSampler:
         """Redraw the replaced side of each known-true negative until it is
         no longer known-true, at most `REDRAW_CAP` times.
 
-        One key lookup finds the candidates. Only they are visited, in
-        row-major order, so the values drawn are those of a visit of every
-        negative. Each visit tests the index's own sets, so a negative whose
-        ids lie outside the keys' range, and whose key may match another
-        triple's, costs a lookup but is left as it is.
+        One key lookup finds them, and one more finds the known-true
+        entities of each. Only they are visited, in row-major order, so the
+        values drawn are those of a visit of every negative.
         """
         index = self.filter_index
-        n_e, n_r = self._key_shape
-        heads, rels, tails = np.moveaxis(neg, -1, 0).astype(np.int64)
-        keys = (heads * n_r + rels) * n_e + tails
-        found = self._true_keys[np.searchsorted(self._true_keys, keys)] == keys
-        for i, j in zip(*np.nonzero(found)):
-            h, r, t = (int(x) for x in neg[i, j])
-            on_head = bool(replace_head[i, j])
-            truths = (index.true_heads(r, t) if on_head
-                      else index.true_tails(h, r))
+        at = np.nonzero(index.contains(neg))
+        hits, on_head = neg[at], replace_head[at]
+        heads = iter(index.known_heads(hits[on_head, 1], hits[on_head, 2]))
+        tails = iter(index.known_tails(hits[~on_head, 0], hits[~on_head, 1]))
+        for i, j, side in zip(*at, on_head):
+            known = next(heads if side else tails)
+            col = 0 if side else 2
+            value = neg[i, j, col]  # known-true
             redraws = 0
-            value = h if on_head else t
-            while value in truths:
+            while value in known:
                 if redraws >= REDRAW_CAP:
                     self.redraw_cap_hits += 1
                     break
                 value = int(self.rng.integers(0, self.n_e))
                 redraws += 1
-            neg[i, j, 0 if on_head else 2] = value
+            neg[i, j, col] = value

@@ -9,7 +9,6 @@ fully deterministic given the config and sampler seeds.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -23,7 +22,7 @@ import numpy as np
 
 from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import (Dataset, Vocabulary, build_filter_index,
-                        compute_bernoulli_stats)
+                        compute_bernoulli_stats, triple_array)
 from lsekg.evaluation import evaluate
 # the batched forward and backward passes live with the models; the
 # benchmark's spans find them under these names too
@@ -212,18 +211,17 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
     vocab = dataset.vocabulary
     params = init_params(kind, vocab.n_e, vocab.n_r, config.dim, config.seed)
 
+    n = len(dataset.train)
+    train_arr = triple_array(dataset.train)
     stats = compute_bernoulli_stats(dataset.train)
-    train_filter = (build_filter_index([dataset.train], ["train"])
+    train_filter = (build_filter_index([train_arr], ["train"])
                     if config.sampler.filter_false_negatives else None)
     sampler = NegativeSampler(vocab.n_e, config.sampler, stats, train_filter)
-    valid_filter = (build_filter_index([dataset.train, dataset.valid],
+    valid_filter = (build_filter_index([train_arr, dataset.valid],
                                        ["train", "valid"])
                     if dataset.valid else None)
     shuffle_rng = substream(config.seed, "shuffle")
 
-    n = len(dataset.train)
-    train_arr = np.fromiter(itertools.chain.from_iterable(dataset.train),
-                            np.int64, 3 * n).reshape(n, 3)
     batch_size = min(config.batch_size, n) if n else 0
 
     def snapshot(step: int, mrr: float | None) -> Checkpoint:

@@ -152,7 +152,7 @@ def test_criterion_3_ranking_oracle():
         if rec_t.raw_rank != rank_of_truth(tails, t):
             mismatches += 1
         if rec_t.filtered_rank != rank_of_truth(
-                tails, t, idx.true_tails(h, r) - {t}):
+                tails, t, set(idx.true_tails(h, r)) - {t}):
             mismatches += 1
         if rec_h.raw_rank != rank_of_truth(heads, h):
             mismatches += 1

@@ -1,10 +1,11 @@
 import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lsekg import InputError
+from lsekg import ConsistencyError, InputError
 from lsekg.data import (Triple, build_dataset, build_filter_index,
                         compute_bernoulli_stats, detect_patterns, load_split)
 
@@ -130,12 +131,12 @@ class TestFilterIndex:
         a = ds.vocabulary.entity_to_id["a"]
         b = ds.vocabulary.entity_to_id["b"]
         c = ds.vocabulary.entity_to_id["c"]
-        assert idx.true_tails(a, 0) == {b, c}
-        assert idx.true_heads(0, b) == {a}
+        assert set(idx.true_tails(a, 0)) == {b, c}
+        assert set(idx.true_heads(0, b)) == {a}
 
     def test_empty(self):
         idx = build_filter_index([])
-        assert idx.true_tails(0, 0) == frozenset()
+        assert set(idx.true_tails(0, 0)) == frozenset()
         assert Triple(0, 0, 0) not in idx
 
     def test_membership_equals_brute_force_scan(self):
@@ -153,6 +154,43 @@ class TestFilterIndex:
                 for t in range(n_e):
                     assert (Triple(h, r, t) in idx) == (
                         Triple(h, r, t) in union)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2),
+                                       st.integers(0, 6)), max_size=25),
+                    max_size=3),
+           st.booleans())
+    @example([], False)
+    @example([[]], True)
+    def test_lookups_equal_dict_of_sets(self, splits, as_arrays):
+        tails, heads = defaultdict(set), defaultdict(set)
+        for split in splits:
+            for h, r, t in split:
+                tails[h, r].add(t)
+                heads[r, t].add(h)
+        idx = build_filter_index(
+            [np.array(s, np.int64).reshape(-1, 3) if as_arrays
+             else tuple(Triple(*x) for x in s) for s in splits])
+        # ids past the index's range, whose keys could alias other triples
+        ids = [-1, *range(9), 2**40]
+        grid = np.array([[h, r, t] for h in ids for r in ids for t in ids])
+        assert idx.contains(grid).tolist() == [
+            t in tails.get((h, r), ()) for h, r, t in grid.tolist()]
+        for a in ids:
+            for b in ids:
+                assert idx.true_tails(a, b).tolist() == sorted(
+                    tails.get((a, b), ()))
+                assert idx.true_heads(a, b).tolist() == sorted(
+                    heads.get((a, b), ()))
+                assert ((a, b, 0) in idx) == (0 in tails.get((a, b), ()))
+
+    def test_key_overflow_rejected(self):
+        with pytest.raises(ConsistencyError, match="int64"):
+            build_filter_index([(Triple(3_037_000_500, 0, 0),)])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ConsistencyError, match="negative"):
+            build_filter_index([np.array([[0, -1, 0]])])
 
 
 class TestBernoulliStats:

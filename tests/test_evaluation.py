@@ -37,6 +37,14 @@ class TestRankOfTruth:
         with pytest.raises(ConsistencyError):
             rank_of_truth(np.array([1.0, 2.0]), 5)
 
+    def test_nan_ranks_as_inf(self):
+        energies = np.array([np.nan, 0.5, np.nan, np.inf, 2.0])
+        # behind 0.5 and 2.0, tied with the other NaN and with +inf
+        assert rank_of_truth(energies, 0) == 4.0
+        assert rank_of_truth(energies, 3) == 4.0
+        # a finite truth is not beaten by, nor tied with, a NaN
+        assert rank_of_truth(energies, 4) == 2.0
+
     def test_invariant_under_candidate_permutation(self):
         rng = np.random.default_rng(0)
         energies = rng.normal(size=50)
@@ -65,7 +73,8 @@ class TestOnePassRanks:
     @given(ranking_queries(), st.sampled_from(TIE_POLICIES))
     def test_equal_rank_of_truth(self, query, tie_policy):
         energies, truth, known = query
-        assert _raw_and_filtered_ranks(energies, truth, known,
+        assert _raw_and_filtered_ranks(energies, truth,
+                                       np.array(sorted(known), np.int64),
                                        tie_policy) == (
             rank_of_truth(energies, truth, None, tie_policy),
             rank_of_truth(energies, truth, known - {truth}, tie_policy))
@@ -127,7 +136,7 @@ class TestEvaluate:
             rec = by_key[(triple, "tail")]
             assert rec.raw_rank == rank_of_truth(tail_energies, t)
             assert rec.filtered_rank == rank_of_truth(
-                tail_energies, t, idx.true_tails(h, rel) - {t})
+                tail_energies, t, set(idx.true_tails(h, rel)) - {t})
             head_energies = np.array(
                 [energy(params, e, rel, t) for e in range(params.n_e)])
             rec = by_key[(triple, "head")]
@@ -149,6 +158,15 @@ class TestEvaluate:
         a, _ = evaluate(params, eval_set, idx)
         b, _ = evaluate(params, eval_set, idx)
         assert a == b
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_all_nan_model_ranks_low(self, kind):
+        params, eval_set, idx = small_setup(kind, n_triples=20)
+        params.entities[:] = np.nan
+        metrics, _ = evaluate(params, eval_set, idx)
+        # every truth ties with all other entities
+        assert metrics.raw.mrr == pytest.approx(1 / 6.5)
+        assert metrics.filtered.mrr < 0.35
 
     def test_vocabulary_mismatch_rejected(self):
         params, _, idx = small_setup()

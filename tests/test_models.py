@@ -4,8 +4,9 @@ import pytest
 from lsekg import ConsistencyError
 from lsekg.data import RelationStats
 from lsekg.models import (_BLOCK_ROWS, ModelKind, Parameters,
-                          all_head_energies, all_tail_energies, energy,
-                          energy_gradients, init_params, lemma_diagnostics)
+                          _scan_entities, all_head_energies,
+                          all_tail_energies, energy, energy_gradients,
+                          init_params, lemma_diagnostics, map_heads)
 from lsekg.training import _batch_energies, _batch_gradients
 
 KINDS = list(ModelKind)
@@ -270,6 +271,26 @@ class TestBatchedKernels:
             np.testing.assert_allclose(blocked, heads, rtol=64 * EPS, atol=0)
         else:
             assert np.array_equal(blocked, heads)
+
+    @pytest.mark.parametrize("kind", DISTANCE_KINDS)
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    @pytest.mark.parametrize("n_e", [1, 50, _BLOCK_ROWS])
+    def test_one_block_table_equals_block_scan(self, kind, p_norm, n_e):
+        params = make_params(kind, n_e=n_e, d=40, seed=n_e)
+        ents = params.entities
+        h, r, t = 0, 1, n_e - 1
+        mapped = map_heads(params, ents[h], r)
+
+        def fill(rows, out):
+            map_heads(params, rows, r, out=out)
+            out -= ents[t]
+
+        assert np.array_equal(
+            all_tail_energies(params, h, r, p_norm),
+            _scan_entities(params, lambda rows, out: np.subtract(
+                mapped, rows, out=out), p_norm))
+        assert np.array_equal(all_head_energies(params, r, t, p_norm),
+                              _scan_entities(params, fill, p_norm))
 
     def test_lse_d_self_hit(self):
         params = make_params(ModelKind.LSE_D, seed=23)
