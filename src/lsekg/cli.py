@@ -18,7 +18,7 @@ import numpy as np
 
 from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import (Dataset, build_dataset, build_filter_index,
-                        detect_patterns, load_split)
+                        detect_patterns, encode_split, load_split)
 from lsekg.evaluation import aggregate, evaluate, report
 from lsekg.models import ModelKind, lemma_diagnostics
 from lsekg.sampling import SamplerConfig
@@ -154,19 +154,6 @@ def _load_dataset(paths: dict[str, str]) -> Dataset:
     return build_dataset(raw["train"], raw["valid"], raw["test"])
 
 
-def _encode_split(raw_triples, vocabulary, what: str):
-    encoded = []
-    for h, r, t in raw_triples:
-        if (h not in vocabulary.entity_to_id
-                or t not in vocabulary.entity_to_id
-                or r not in vocabulary.relation_to_id):
-            raise ConsistencyError(
-                f"{what}: triple ({h}, {r}, {t}) is outside the checkpoint "
-                "vocabulary")
-        encoded.append(vocabulary.encode((h, r, t)))
-    return tuple(encoded)
-
-
 def _banner(kind: ModelKind, config: TrainConfig, n_e: int, n_r: int) -> None:
     d = config.dim
     rel_storage = n_r * d * d if kind.uses_matrix else n_r * d
@@ -214,7 +201,7 @@ def cmd_train(args) -> int:
                   encoding="utf-8") as f:
             f.write("\n".join(log_lines) + "\n")
 
-    if dataset.test:
+    if len(dataset.test):
         filter_index = build_filter_index(
             [dataset.train, dataset.valid, dataset.test],
             ["train", "valid", "test"])
@@ -234,20 +221,22 @@ def _parallel_evaluate(params, triples, filter_index, p, tie_policy,
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(evaluate, params, chunk, filter_index, p,
                                tie_policy)
-                   for chunk in chunks if chunk]
+                   for chunk in chunks if len(chunk)]
         for fut in futures:
             records.extend(fut.result()[1])
     return aggregate(records, tie_policy), records
 
 
 def cmd_eval(args) -> int:
+    if args.threads < 1:
+        raise InputError(f"--threads must be at least 1, not {args.threads}")
     ckpt = load_checkpoint(args.checkpoint)
     vocab = ckpt.vocabulary
     test_path = args.test or (args.data and os.path.join(args.data,
                                                          "test.txt"))
     if not test_path:
         raise InputError("pass --test FILE or --data DIR")
-    eval_set = _encode_split(load_split(test_path), vocab, "test split")
+    eval_set = encode_split(vocab, load_split(test_path), "test")
 
     filter_splits = []
     names = [s.strip() for s in args.filter_with.split(",") if s.strip()]
@@ -259,8 +248,7 @@ def cmd_eval(args) -> int:
         else:
             raise InputError(
                 f"--filter-with {name} needs --data DIR to locate the file")
-        filter_splits.append(
-            _encode_split(load_split(path), vocab, f"{name} split"))
+        filter_splits.append(encode_split(vocab, load_split(path), name))
     filter_index = build_filter_index(filter_splits, names)
 
     p = args.p if args.p is not None else ckpt.config.p
@@ -284,8 +272,8 @@ def cmd_inspect(args) -> int:
                                                            "train.txt"))
     if not train_path:
         raise InputError("pass --train FILE or --data DIR")
-    train_set = _encode_split(load_split(train_path), ckpt.vocabulary,
-                              "train split")
+    train_set = encode_split(ckpt.vocabulary, load_split(train_path),
+                             "train")
     stats = detect_patterns(train_set)
     diag = lemma_diagnostics(ckpt.params, stats)
 

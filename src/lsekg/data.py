@@ -10,24 +10,13 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from lsekg import ConsistencyError, InputError
 
 RawTriple = tuple[str, str, str]
-
-
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
-# A split is an ordered, duplicate-free tuple of integer-encoded triples.
-TripleSet = tuple[Triple, ...]
 
 
 @dataclass(frozen=True)
@@ -47,22 +36,28 @@ class Vocabulary:
     def n_r(self) -> int:
         return len(self.id_to_relation)
 
-    def encode(self, raw: RawTriple) -> Triple:
-        h, r, t = raw
-        return Triple(self.entity_to_id[h], self.relation_to_id[r],
-                      self.entity_to_id[t])
+    def encode(self, raw: Sequence[RawTriple]) -> np.ndarray:
+        """Raw triples as an (n, 3) int64 array of (head, relation, tail)
+        ids. Raises `ConsistencyError` naming the first triple outside the
+        vocabulary."""
+        ent, rel = self.entity_to_id, self.relation_to_id
+        try:
+            ids = [(ent[h], rel[r], ent[t]) for h, r, t in raw]
+        except KeyError:
+            h, r, t = next(x for x in raw if not (
+                x[0] in ent and x[1] in rel and x[2] in ent))
+            raise ConsistencyError(
+                f"triple ({h}, {r}, {t}) is outside the vocabulary") from None
+        return np.array(ids, np.int64).reshape(-1, 3)
 
-    def decode(self, triple: Triple) -> RawTriple:
-        return (self.id_to_entity[triple.head],
-                self.id_to_relation[triple.relation],
-                self.id_to_entity[triple.tail])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    train: TripleSet
-    valid: TripleSet
-    test: TripleSet
+    # each split is a C-contiguous (n, 3) int64 array of (head, relation,
+    # tail) ids, duplicate-free, in the order of first appearance
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     vocabulary: Vocabulary
     # per-split count of dropped duplicate triples
     duplicates_dropped: dict[str, int] = field(default_factory=dict)
@@ -93,17 +88,38 @@ def load_split(path) -> list[RawTriple]:
     return triples
 
 
-def _dedup(raw: Iterable[RawTriple]) -> tuple[list[RawTriple], int]:
-    seen: set[RawTriple] = set()
-    out: list[RawTriple] = []
-    dropped = 0
-    for t in raw:
-        if t in seen:
-            dropped += 1
-        else:
-            seen.add(t)
-            out.append(t)
-    return out, dropped
+def _tail_major_keys(triples: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
+    """The key (h * n_r + r) * n_e + t of each row of an (n, 3) int64 id
+    array whose ids lie in [0, n_e) and [0, n_r).
+
+    Raises `ConsistencyError` when the keys of the id ranges, n_e * n_e *
+    n_r of them, do not fit in int64.
+    """
+    if n_e * n_e * n_r > np.iinfo(np.int64).max:
+        raise ConsistencyError(
+            f"cannot index {n_e} entities and {n_r} relations: "
+            f"{n_e}^2 * {n_r} triple keys do not fit in int64")
+    h, r, t = triples.T
+    return (h * n_r + r) * n_e + t
+
+
+def encode_split(vocabulary: Vocabulary, raw: Sequence[RawTriple],
+                 name: str) -> np.ndarray:
+    """One split as an (n, 3) int64 id array that keeps the first
+    occurrence of each triple; the repeats dropped are counted in a
+    warning. A triple outside the vocabulary raises `ConsistencyError`
+    naming the split.
+    """
+    try:
+        ids = vocabulary.encode(raw)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"split {name!r}: {exc}") from None
+    keys = _tail_major_keys(ids, vocabulary.n_e, vocabulary.n_r)
+    first = np.unique(keys, return_index=True)[1]
+    dropped = len(ids) - len(first)
+    if dropped:
+        warnings.warn(f"split {name!r}: dropped {dropped} duplicate triples")
+    return ids[np.sort(first)]
 
 
 def build_dataset(train: Iterable[RawTriple],
@@ -126,13 +142,6 @@ def build_dataset(train: Iterable[RawTriple],
                     entity_to_id[e] = len(entity_to_id)
             if r not in relation_to_id:
                 relation_to_id[r] = len(relation_to_id)
-
-    train_entities = {e for h, _, t in splits["train"] for e in (h, t)}
-    unseen = len(entity_to_id) - len(train_entities & set(entity_to_id))
-    if unseen:
-        warnings.warn(f"{unseen} entities appear only in valid/test; "
-                      "they keep their (untrained) initial embeddings")
-
     vocab = Vocabulary(
         entity_to_id=entity_to_id,
         id_to_entity=tuple(entity_to_id),
@@ -140,14 +149,20 @@ def build_dataset(train: Iterable[RawTriple],
         id_to_relation=tuple(relation_to_id),
     )
 
-    encoded: dict[str, TripleSet] = {}
+    encoded: dict[str, np.ndarray] = {}
     duplicates: dict[str, int] = {}
     for name, raw in splits.items():
-        deduped, dropped = _dedup(raw)
+        encoded[name] = encode_split(vocab, raw, name)
+        dropped = len(raw) - len(encoded[name])
         if dropped:
-            warnings.warn(f"split {name!r}: dropped {dropped} duplicate triples")
             duplicates[name] = dropped
-        encoded[name] = tuple(vocab.encode(t) for t in deduped)
+
+    in_train = np.bincount(encoded["train"][:, ::2].ravel(),
+                           minlength=vocab.n_e)
+    unseen = np.count_nonzero(in_train == 0)
+    if unseen:
+        warnings.warn(f"{unseen} entities appear only in valid/test; "
+                      "they keep their (untrained) initial embeddings")
 
     return Dataset(train=encoded["train"], valid=encoded["valid"],
                    test=encoded["test"], vocabulary=vocab,
@@ -226,36 +241,24 @@ class FilterIndex:
                 zip(bounds[:n].tolist(), bounds[n:].tolist(), bases.tolist())]
 
 
-def triple_array(split: TripleSet | np.ndarray) -> np.ndarray:
-    """A split of triples, or an int id array, as an (n, 3) int64 array."""
-    if isinstance(split, np.ndarray):
-        return split.astype(np.int64, copy=False).reshape(-1, 3)
-    return np.fromiter(chain.from_iterable(split), np.int64,
-                       3 * len(split)).reshape(-1, 3)
-
-
-def build_filter_index(splits: Iterable[TripleSet | np.ndarray],
+def build_filter_index(splits: Iterable,
                        names: Iterable[str] = ()) -> FilterIndex:
-    """Index the union of the given splits, each a tuple of triples or an
-    (n, 3) int array, by (head, relation) and (relation, tail).
+    """Index the union of the given splits, each an (n, 3) int id array or
+    a sequence of id triples, by (head, relation) and (relation, tail).
 
     Raises `ConsistencyError` for a negative id, or when the keys of the
     id ranges, n_e * n_e * n_r of them, do not fit in int64.
     """
-    triples = np.concatenate(
-        [np.empty((0, 3), np.int64)] + [triple_array(s) for s in splits])
+    triples = np.concatenate([np.empty((0, 3), np.int64)] + [
+        np.asarray(s, np.int64).reshape(-1, 3) for s in splits])
     if triples.min(initial=0) < 0:
         raise ConsistencyError("a triple to index has a negative id")
     h, r, t = triples.T
     n_e = int(max(h.max(initial=-1), t.max(initial=-1))) + 1
     n_r = int(r.max(initial=-1)) + 1
-    if n_e * n_e * n_r > np.iinfo(np.int64).max:
-        raise ConsistencyError(
-            f"cannot index {n_e} entities and {n_r} relations: "
-            f"{n_e}^2 * {n_r} triple keys do not fit in int64")
     return FilterIndex(
         n_e=n_e, n_r=n_r,
-        tail_keys=np.unique((h * n_r + r) * n_e + t),
+        tail_keys=np.unique(_tail_major_keys(triples, n_e, n_r)),
         head_keys=np.unique((r * n_e + t) * n_e + h),
         source_splits=tuple(names),
     )
@@ -283,13 +286,13 @@ class RelationStats:
         default_factory=list)
 
 
-def compute_bernoulli_stats(train: TripleSet) -> dict[int, RelationStats]:
+def compute_bernoulli_stats(train: np.ndarray) -> dict[int, RelationStats]:
     """tph (triples per distinct head) and hpt (triples per distinct tail)
-    for every relation with at least one training triple."""
+    for every relation with at least one triple of an (n, 3) id array."""
     count: dict[int, int] = defaultdict(int)
     heads: dict[int, set[int]] = defaultdict(set)
     tails: dict[int, set[int]] = defaultdict(set)
-    for h, r, t in train:
+    for h, r, t in train.tolist():
         count[r] += 1
         heads[r].add(h)
         tails[r].add(t)
@@ -300,7 +303,7 @@ def compute_bernoulli_stats(train: TripleSet) -> dict[int, RelationStats]:
     }
 
 
-def detect_patterns(train: TripleSet,
+def detect_patterns(train: np.ndarray,
                     inverse_threshold: float = 0.8,
                     composition_path_cap: int = 100_000,
                     ) -> dict[int, RelationStats]:
@@ -315,7 +318,7 @@ def detect_patterns(train: TripleSet,
     stats = compute_bernoulli_stats(train)
 
     edges: dict[int, set[tuple[int, int]]] = defaultdict(set)
-    for h, r, t in train:
+    for h, r, t in train.tolist():
         edges[r].add((h, t))
     # all relations holding an edge h -> t, for closure lookups
     rels_of: dict[tuple[int, int], set[int]] = defaultdict(set)

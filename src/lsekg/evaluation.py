@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lsekg import ConsistencyError
-from lsekg.data import FilterIndex, Triple, TripleSet, triple_array
+from lsekg.data import FilterIndex
 from lsekg.models import Parameters, all_head_energies, all_tail_energies
 
 TIE_POLICIES = ("optimistic", "pessimistic", "mean")
@@ -89,7 +89,7 @@ def _raw_and_filtered_ranks(energies: np.ndarray, truth: int,
 
 @dataclass(frozen=True)
 class RankRecord:
-    triple: Triple
+    triple: tuple[int, int, int]
     side: str  # "head" | "tail"
     raw_rank: float
     filtered_rank: float
@@ -148,29 +148,30 @@ def aggregate(records: list[RankRecord], tie_policy: str = "mean") -> Metrics:
     )
 
 
-def evaluate(params: Parameters, eval_set: TripleSet,
+def evaluate(params: Parameters, eval_set,
              filter_index: FilterIndex, p: int = 1,
              tie_policy: str = "mean") -> tuple[Metrics, list[RankRecord]]:
     """Rank the true entity of every triple under head and tail replacement.
 
-    Raw ranks consider all entities; filtered ranks exclude the other
+    `eval_set` is an (n, 3) int id array or a sequence of id triples. Raw
+    ranks consider all entities; filtered ranks exclude the other
     known-true entities recorded in `filter_index`. A triple whose ids lie
     outside the model's entity or relation range raises `ConsistencyError`
     before anything is scored.
     """
     _check_tie_policy(tie_policy)
     n_e, n_r = params.n_e, params.n_r
-    for triple in eval_set:
-        h, r, t = triple
-        if not (0 <= h < n_e and 0 <= t < n_e and 0 <= r < n_r):
-            raise ConsistencyError(
-                f"triple {tuple(triple)} outside the model vocabulary "
-                f"(n_e={n_e}, n_r={n_r})")
-    ids = triple_array(eval_set)
+    ids = np.asarray(eval_set, np.int64).reshape(-1, 3)
+    outside = ((ids < 0) | (ids >= (n_e, n_r, n_e))).any(axis=1)
+    if outside.any():
+        raise ConsistencyError(
+            f"triple {tuple(ids[outside.argmax()].tolist())} outside the "
+            f"model vocabulary (n_e={n_e}, n_r={n_r})")
     known_tails = filter_index.known_tails(ids[:, 0], ids[:, 1])
     known_heads = filter_index.known_heads(ids[:, 1], ids[:, 2])
     records: list[RankRecord] = []
-    for triple, tails, heads in zip(eval_set, known_tails, known_heads):
+    for triple, tails, heads in zip(map(tuple, ids.tolist()), known_tails,
+                                    known_heads):
         h, r, t = triple
         raw, filtered = _raw_and_filtered_ranks(
             all_tail_energies(params, h, r, p), t, tails, tie_policy)

@@ -22,7 +22,7 @@ import numpy as np
 
 from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import (Dataset, Vocabulary, build_filter_index,
-                        compute_bernoulli_stats, triple_array)
+                        compute_bernoulli_stats)
 from lsekg.evaluation import evaluate
 # the batched forward and backward passes live with the models; the
 # benchmark's spans find them under these names too
@@ -212,14 +212,13 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
     params = init_params(kind, vocab.n_e, vocab.n_r, config.dim, config.seed)
 
     n = len(dataset.train)
-    train_arr = triple_array(dataset.train)
     stats = compute_bernoulli_stats(dataset.train)
-    train_filter = (build_filter_index([train_arr], ["train"])
+    train_filter = (build_filter_index([dataset.train], ["train"])
                     if config.sampler.filter_false_negatives else None)
     sampler = NegativeSampler(vocab.n_e, config.sampler, stats, train_filter)
-    valid_filter = (build_filter_index([train_arr, dataset.valid],
+    valid_filter = (build_filter_index([dataset.train, dataset.valid],
                                        ["train", "valid"])
-                    if dataset.valid else None)
+                    if len(dataset.valid) else None)
     shuffle_rng = substream(config.seed, "shuffle")
 
     batch_size = min(config.batch_size, n) if n else 0
@@ -242,7 +241,7 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
         for start in range(0, n, batch_size):
             if step >= config.max_steps:
                 break
-            pos = train_arr[order[start:start + batch_size]]
+            pos = dataset.train[order[start:start + batch_size]]
             neg = sampler.corrupt_batch(pos)
             b, k = neg.shape[:2]
             flat = np.concatenate([pos, neg.reshape(-1, 3)])
@@ -275,7 +274,7 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
             step += 1
 
             if config.eval_every and step % config.eval_every == 0:
-                if dataset.valid:
+                if len(dataset.valid):
                     metrics, _ = evaluate(params, dataset.valid, valid_filter,
                                           config.p)
                     mrr = metrics.filtered.mrr

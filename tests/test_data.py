@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lsekg import ConsistencyError, InputError
-from lsekg.data import (Triple, build_dataset, build_filter_index,
+from lsekg.data import (build_dataset, build_filter_index,
                         compute_bernoulli_stats, detect_patterns, load_split)
 
 
@@ -94,7 +94,9 @@ class TestBuildDataset:
     def test_encode_decode_round_trip(self):
         raw = [("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")]
         ds = build_dataset(raw)
-        assert [ds.vocabulary.decode(t) for t in ds.train] == raw
+        v = ds.vocabulary
+        assert [(v.id_to_entity[h], v.id_to_relation[r], v.id_to_entity[t])
+                for h, r, t in ds.train.tolist()] == raw
 
     def test_dense_ids(self):
         ds = build_dataset([("a", "r", "b")], [("c", "s", "d")])
@@ -120,8 +122,64 @@ class TestBuildDataset:
                            [("a", "r", "a")])
         a = ds.vocabulary.entity_to_id["a"]
         b = ds.vocabulary.entity_to_id["b"]
-        assert ds.valid == (Triple(b, 0, a),)
-        assert ds.test == (Triple(a, 0, a),)
+        assert np.array_equal(ds.valid, [(b, 0, a)])
+        assert np.array_equal(ds.test, [(a, 0, a)])
+
+
+# raw triples over few names, so that triples repeat within and across splits
+_RAW_TRIPLES = st.tuples(st.sampled_from("abcd"), st.sampled_from("rs"),
+                         st.sampled_from("abcde"))
+
+
+class TestBuildDatasetProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_RAW_TRIPLES, max_size=12), min_size=1,
+                    max_size=3))
+    @example([[]])
+    @example([[], [], []])
+    @example([[("a", "r", "b")] * 3, [], [("a", "r", "b"), ("c", "s", "c")]])
+    def test_equals_dict_reference(self, splits):
+        entity_to_id, relation_to_id = {}, {}
+        for split in splits:
+            for h, r, t in split:
+                entity_to_id.setdefault(h, len(entity_to_id))
+                entity_to_id.setdefault(t, len(entity_to_id))
+                relation_to_id.setdefault(r, len(relation_to_id))
+        names = ("train", "valid", "test")
+        expected, dropped = {}, {}
+        for name, split in zip(names, splits):
+            seen, kept = set(), []
+            for triple in split:
+                if triple not in seen:
+                    seen.add(triple)
+                    kept.append(triple)
+            expected[name] = [[entity_to_id[h], relation_to_id[r],
+                               entity_to_id[t]] for h, r, t in kept]
+            if len(split) > len(kept):
+                dropped[name] = len(split) - len(kept)
+        unseen = set(entity_to_id) - {e for h, _, t in splits[0]
+                                      for e in (h, t)}
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = build_dataset(*splits)
+        v = ds.vocabulary
+        assert list(v.entity_to_id.items()) == list(entity_to_id.items())
+        assert list(v.relation_to_id.items()) == list(relation_to_id.items())
+        assert v.id_to_entity == tuple(entity_to_id)
+        assert v.id_to_relation == tuple(relation_to_id)
+        for name in names:
+            ids = getattr(ds, name)
+            assert ids.dtype == np.int64 and ids.shape[1:] == (3,)
+            assert ids.flags.c_contiguous
+            assert ids.tolist() == expected.get(name, [])
+        assert ds.duplicates_dropped == dropped
+        messages = sorted(str(w.message) for w in caught)
+        assert messages == sorted(
+            [f"split {name!r}: dropped {n} duplicate triples"
+             for name, n in dropped.items()]
+            + [f"{len(unseen)} entities appear only in valid/test; they "
+               "keep their (untrained) initial embeddings"] * bool(unseen))
 
 
 class TestFilterIndex:
@@ -137,13 +195,13 @@ class TestFilterIndex:
     def test_empty(self):
         idx = build_filter_index([])
         assert set(idx.true_tails(0, 0)) == frozenset()
-        assert Triple(0, 0, 0) not in idx
+        assert (0, 0, 0) not in idx
 
     def test_membership_equals_brute_force_scan(self):
         rng = np.random.default_rng(7)
         n_e, n_r = 30, 4
         splits = [
-            tuple(Triple(*map(int, rng.integers(0, [n_e, n_r, n_e])))
+            tuple(tuple(map(int, rng.integers(0, [n_e, n_r, n_e])))
                   for _ in range(300))
             for _ in range(3)
         ]
@@ -152,8 +210,8 @@ class TestFilterIndex:
         for h in range(n_e):
             for r in range(n_r):
                 for t in range(n_e):
-                    assert (Triple(h, r, t) in idx) == (
-                        Triple(h, r, t) in union)
+                    assert ((h, r, t) in idx) == (
+                        (h, r, t) in union)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2),
@@ -170,7 +228,7 @@ class TestFilterIndex:
                 heads[r, t].add(h)
         idx = build_filter_index(
             [np.array(s, np.int64).reshape(-1, 3) if as_arrays
-             else tuple(Triple(*x) for x in s) for s in splits])
+             else tuple(tuple(x) for x in s) for s in splits])
         # ids past the index's range, whose keys could alias other triples
         ids = [-1, *range(9), 2**40]
         grid = np.array([[h, r, t] for h in ids for r in ids for t in ids])
@@ -186,7 +244,7 @@ class TestFilterIndex:
 
     def test_key_overflow_rejected(self):
         with pytest.raises(ConsistencyError, match="int64"):
-            build_filter_index([(Triple(3_037_000_500, 0, 0),)])
+            build_filter_index([((3_037_000_500, 0, 0),)])
 
     def test_negative_id_rejected(self):
         with pytest.raises(ConsistencyError, match="negative"):

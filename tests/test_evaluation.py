@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsekg import ConsistencyError
-from lsekg.data import Triple, build_filter_index
+from lsekg.data import build_filter_index
 from lsekg.evaluation import (TIE_POLICIES, MetricBlock, Metrics,
                               RankRecord, _raw_and_filtered_ranks, aggregate,
                               evaluate, parse_structured, rank_of_truth,
@@ -82,7 +82,7 @@ class TestOnePassRanks:
 
 class TestMetricArithmetic:
     def test_ranks_1_2_4(self):
-        records = [RankRecord(Triple(0, 0, 0), "tail", r, r)
+        records = [RankRecord((0, 0, 0), "tail", r, r)
                    for r in (1, 2, 4)]
         m = aggregate(records)
         assert m.filtered.mrr == pytest.approx(7 / 12)
@@ -92,7 +92,7 @@ class TestMetricArithmetic:
         assert m.filtered.mr == pytest.approx(7 / 3)
 
     def test_perfect_model(self):
-        records = [RankRecord(Triple(0, 0, 0), "head", 1, 1)
+        records = [RankRecord((0, 0, 0), "head", 1, 1)
                    for _ in range(10)]
         m = aggregate(records)
         assert m.filtered.mrr == 1.0
@@ -117,7 +117,7 @@ class TestMetricArithmetic:
 def small_setup(kind=ModelKind.LSE_D, n_e=12, n_r=2, n_triples=30, seed=0):
     rng = np.random.default_rng(seed)
     params = init_params(kind, n_e, n_r, 6, seed=seed)
-    triples = {Triple(*map(int, rng.integers(0, [n_e, n_r, n_e])))
+    triples = {tuple(map(int, rng.integers(0, [n_e, n_r, n_e])))
                for _ in range(n_triples)}
     eval_set = tuple(sorted(triples))
     return params, eval_set, build_filter_index([eval_set])
@@ -171,16 +171,16 @@ class TestEvaluate:
     def test_vocabulary_mismatch_rejected(self):
         params, _, idx = small_setup()
         with pytest.raises(ConsistencyError):
-            evaluate(params, (Triple(99, 0, 0),), idx)
+            evaluate(params, ((99, 0, 0),), idx)
 
 
-    @pytest.mark.parametrize("triple", [Triple(-1, 0, 0), Triple(0, 0, -1),
-                                        Triple(0, 0, 12), Triple(0, -1, 0),
-                                        Triple(0, 2, 0)])
+    @pytest.mark.parametrize("triple", [(-1, 0, 0), (0, 0, -1),
+                                        (0, 0, 12), (0, -1, 0),
+                                        (0, 2, 0)])
     def test_id_out_of_range_rejected(self, triple):
         params, _, idx = small_setup(n_e=12, n_r=2)
         with pytest.raises(ConsistencyError, match="outside"):
-            evaluate(params, (Triple(0, 0, 1), triple), idx)
+            evaluate(params, ((0, 0, 1), triple), idx)
 
     def test_unknown_tie_policy_rejected(self):
         params, eval_set, idx = small_setup()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lsekg import ConsistencyError
-from lsekg.data import (RelationStats, Triple, build_dataset,
+from lsekg.data import (RelationStats, build_dataset,
                         build_filter_index, compute_bernoulli_stats)
 from lsekg.sampling import (REDRAW_CAP, NegativeSampler, SamplerConfig,
                             corruption_side_probability)
@@ -40,22 +40,22 @@ def make_sampler(n_e=20, mode="uniform", k=1, filter_index=None,
 
 def corrupt_one(sampler, positive):
     """The first negative that `corrupt_batch` draws for one positive."""
-    return Triple(*map(int, sampler.corrupt_batch(np.array([positive]))[0, 0]))
+    return tuple(map(int, sampler.corrupt_batch(np.array([positive]))[0, 0]))
 
 
 class TestCorrupt:
     def test_exactly_one_side_changes(self):
         sampler = make_sampler(n_e=50)
-        pos = Triple(3, 0, 7)
+        pos = (3, 0, 7)
         for _ in range(200):
             neg = corrupt_one(sampler, pos)
-            head_changed = neg.head != pos.head
-            tail_changed = neg.tail != pos.tail
+            head_changed = neg[0] != pos[0]
+            tail_changed = neg[2] != pos[2]
             assert head_changed != tail_changed or (
                 not head_changed and not tail_changed)
             # the replaced side may redraw the original entity by chance,
             # but never both sides at once
-            assert neg.relation == pos.relation
+            assert neg[1] == pos[1]
 
     def test_relation_never_changes(self):
         sampler = make_sampler(n_e=10, k=5)
@@ -69,7 +69,7 @@ class TestCorrupt:
         sampler = make_sampler(n_e=2, filter_index=idx,
                                filter_false_negatives=True)
         for _ in range(100):
-            neg = corrupt_one(sampler, Triple(0, 0, 1))
+            neg = corrupt_one(sampler, (0, 0, 1))
             assert neg not in idx
         assert sampler.redraw_cap_hits == 0
 
@@ -93,7 +93,7 @@ class TestCorrupt:
         neg = sampler.corrupt_batch(np.array(ds.train))
         assert sampler.redraw_cap_hits == 0
         for row in neg.reshape(-1, 3):
-            assert Triple(*map(int, row)) not in idx
+            assert tuple(map(int, row)) not in idx
 
 
 class LoopScreeningSampler(NegativeSampler):
@@ -123,7 +123,7 @@ class TestScreeningMatchesLoop:
     """Key-lookup screening draws what the per-negative loop draws."""
 
     def check(self, n_e, known, batches, k):
-        index = build_filter_index([tuple(Triple(*t) for t in known)])
+        index = build_filter_index([tuple(tuple(t) for t in known)])
         config = SamplerConfig(mode="uniform", negatives_per_positive=k,
                                filter_false_negatives=True, seed=5)
         fast = NegativeSampler(n_e, config, None, index)
@@ -159,19 +159,18 @@ class TestGenerateBatch:
 
     def test_cardinality(self):
         sampler = make_sampler(k=4)
-        out = sampler.corrupt_batch(np.array([Triple(0, 0, 1),
-                                              Triple(2, 0, 3)]))
+        out = sampler.corrupt_batch(np.array([(0, 0, 1), (2, 0, 3)]))
         assert len(out) == 2
         assert all(len(negs) == 4 for negs in out)
 
     def test_deterministic_given_seed(self):
-        pos = np.array([Triple(0, 0, 1), Triple(2, 0, 3)])
+        pos = np.array([(0, 0, 1), (2, 0, 3)])
         a = make_sampler(k=3, seed=42).corrupt_batch(pos)
         b = make_sampler(k=3, seed=42).corrupt_batch(pos)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        pos = np.array([Triple(0, 0, 1)] * 20)
+        pos = np.array([(0, 0, 1)] * 20)
         a = make_sampler(k=3, seed=1).corrupt_batch(pos)
         b = make_sampler(k=3, seed=2).corrupt_batch(pos)
         assert not np.array_equal(a, b)

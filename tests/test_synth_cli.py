@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -299,6 +300,40 @@ class TestCliInspect:
         assert proc.returncode == 2
 
 
+class TestCliDuplicates:
+    """`eval` and `inspect` drop a repeated line as `train` does."""
+
+    def test_eval_metrics_equal_train_metrics(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        lines = (data / "test.txt").read_text().splitlines(keepends=True)
+        (data / "test.txt").write_text("".join(lines + lines[:1]))
+        proc = run_cli("train", "--model", "lse_d", "--data", str(data),
+                       "--profile", "desk", "--max-steps", "20",
+                       "--eval-every", "0", "--out", str(tmp_path / "train"))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("eval", "--checkpoint",
+                       str(tmp_path / "train" / "lse_d.ckpt"), "--data",
+                       str(data), "--out", str(tmp_path / "eval"))
+        assert proc.returncode == 0, proc.stderr
+        assert "dropped 1 duplicate" in proc.stderr
+        assert ((tmp_path / "eval" / "metrics.txt").read_bytes()
+                == (tmp_path / "train" / "metrics.txt").read_bytes())
+
+    def test_inspect_counts_distinct_triples(self, synth_dir, trained_dir,
+                                             tmp_path):
+        out, _ = trained_dir
+        lines = (synth_dir / "train.txt").read_text().splitlines(
+            keepends=True)
+        (tmp_path / "train.txt").write_text("".join(lines + lines[:1]))
+        relation = lines[0].split("\t")[1]
+        n = sum(line.split("\t")[1] == relation for line in lines)
+        proc = run_cli("inspect", "--checkpoint", str(out / "lse_d.ckpt"),
+                       "--train", str(tmp_path / "train.txt"))
+        assert proc.returncode == 0, proc.stderr
+        assert f"relation {relation}: n={n} " in proc.stdout
+
+
 class TestCliExitCodes:
     """Bad input ends with its exit code and a one-line error, never a
     traceback."""
@@ -374,6 +409,33 @@ class TestCliExitCodes:
         path = self.checkpoint(tmp_path, [1])
         assert self.exit_code(capsys, "eval", "--checkpoint", path,
                               "--test", path) == 3
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_eval_threads_below_one_exit_2(self, capsys, synth_dir,
+                                           trained_dir, tmp_path, threads):
+        out, _ = trained_dir
+        assert self.exit_code(capsys, "eval", "--checkpoint",
+                              str(out / "lse_d.ckpt"), "--data",
+                              str(synth_dir), "--threads", threads,
+                              "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command, flag", [("eval", "--test"),
+                                               ("inspect", "--train")])
+    def test_triple_outside_checkpoint_vocabulary_exit_3(
+            self, capsys, synth_dir, trained_dir, tmp_path, command, flag):
+        out, _ = trained_dir
+        h, r, t = load_split(synth_dir / "train.txt")[0]
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{h}\t{r}\t{t}\nnowhere\t{r}\t{t}\n")
+        extra = ("--data", str(synth_dir), "--out", str(tmp_path)) \
+            if command == "eval" else ()
+        code = main([command, "--checkpoint", str(out / "lse_d.ckpt"),
+                     flag, str(bad), *extra])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nowhere" in err
 
     def test_config_file_closed(self, tmp_path):
         config = tmp_path / "ok.conf"
