@@ -1,7 +1,8 @@
 """Command-line entry points: synth | train | eval | inspect.
 
 Config precedence is built-in defaults < profile < config file (key=value
-lines) < explicit flags. Exit codes: 0 ok, 1 internal error, 2 input/IO,
+lines) < explicit flags. A split's own flag (--train, --valid, --test) beats
+its file under --data DIR. Exit codes: 0 ok, 1 internal error, 2 input/IO,
 3 vocabulary/shape consistency.
 """
 
@@ -17,9 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from lsekg import ConsistencyError, InputError, LsekgError
-from lsekg.data import (Dataset, build_dataset, build_filter_index,
-                        detect_patterns, encode_split, load_split)
-from lsekg.evaluation import aggregate, evaluate, report
+from lsekg.data import (build_dataset, build_filter_index, detect_patterns,
+                        encode_split, load_split)
+from lsekg.evaluation import TIE_POLICIES, aggregate, evaluate, report
 from lsekg.models import ModelKind, lemma_diagnostics
 from lsekg.sampling import SamplerConfig
 from lsekg.synth import PATTERNS, generate
@@ -125,33 +126,35 @@ def _resolve_train_config(args) -> TrainConfig:
     return config
 
 
-def _split_paths(args) -> dict[str, str]:
+# the splits that a subcommand may name by their own flag
+_SPLIT_FLAGS = ("train", "valid", "test")
+
+
+def _split_path(args, name: str) -> str | None:
+    """The file of split `name`: its own flag where the subcommand has
+    one, else `<--data>/<name>.txt`, else None."""
+    if name in _SPLIT_FLAGS and getattr(args, name, None):
+        return getattr(args, name)
     if args.data:
-        return {name: os.path.join(args.data, f"{name}.txt")
-                for name in ("train", "valid", "test")}
-    paths = {}
-    for name in ("train", "valid", "test"):
-        path = getattr(args, name, None)
-        if path:
-            paths[name] = path
-    if "train" not in paths:
-        raise InputError("no training file: pass --data DIR or --train FILE")
-    return paths
+        return os.path.join(args.data, f"{name}.txt")
+    return None
 
 
-def _load_dataset(paths: dict[str, str]) -> Dataset:
-    raw = {}
-    for name in ("train", "valid", "test"):
-        path = paths.get(name)
-        if path is None:
-            raw[name] = []
-        elif not os.path.exists(path):
-            if name == "train":
-                raise InputError(f"training file not found: {path}")
-            raw[name] = []
-        else:
-            raw[name] = load_split(path)
-    return build_dataset(raw["train"], raw["valid"], raw["test"])
+def _rank_and_report(params, triples: np.ndarray, filter_index, p: int,
+                     tie_policy: str, threads: int, out: str) -> None:
+    """Rank `triples`, print the text report and write `metrics.txt` to
+    `out`. Thread i ranks triples[i::threads]; one thread ranks the whole
+    split in order, as a direct `evaluate` does."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(evaluate, params, triples[i::threads],
+                               filter_index, p, tie_policy)
+                   for i in range(threads)]
+        records = [rec for fut in futures for rec in fut.result()[1]]
+    metrics = aggregate(records, tie_policy)
+    print(report(metrics), end="")
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "metrics.txt"), "w", encoding="utf-8") as f:
+        f.write(report(metrics, format="structured"))
 
 
 def _banner(kind: ModelKind, config: TrainConfig, n_e: int, n_r: int) -> None:
@@ -178,7 +181,15 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
     kind = ModelKind(args.model)
-    dataset = _load_dataset(_split_paths(args))
+    paths = {name: _split_path(args, name) for name in _SPLIT_FLAGS}
+    if paths["train"] is None:
+        raise InputError("no training file: pass --data DIR or --train FILE")
+    if not os.path.exists(paths["train"]):
+        raise InputError(f"training file not found: {paths['train']}")
+    # a missing valid or test file is an empty split
+    dataset = build_dataset(**{
+        name: load_split(path) if path and os.path.exists(path) else []
+        for name, path in paths.items()})
     _banner(kind, config, dataset.vocabulary.n_e, dataset.vocabulary.n_r)
 
     out = args.out or _default_out()
@@ -203,74 +214,44 @@ def cmd_train(args) -> int:
 
     if len(dataset.test):
         filter_index = build_filter_index(
-            [dataset.train, dataset.valid, dataset.test],
-            ["train", "valid", "test"])
-        metrics, _ = evaluate(ckpt.params, dataset.test, filter_index,
-                              config.p)
-        print(report(metrics))
-        with open(os.path.join(out, "metrics.txt"), "w",
-                  encoding="utf-8") as f:
-            f.write(report(metrics, format="structured"))
+            [dataset.train, dataset.valid, dataset.test], list(_SPLIT_FLAGS))
+        _rank_and_report(ckpt.params, dataset.test, filter_index, config.p,
+                         "mean", 1, out)
     return 0
-
-
-def _parallel_evaluate(params, triples, filter_index, p, tie_policy,
-                       threads: int):
-    chunks = [triples[i::threads] for i in range(threads)]
-    records = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(evaluate, params, chunk, filter_index, p,
-                               tie_policy)
-                   for chunk in chunks if len(chunk)]
-        for fut in futures:
-            records.extend(fut.result()[1])
-    return aggregate(records, tie_policy), records
 
 
 def cmd_eval(args) -> int:
     if args.threads < 1:
         raise InputError(f"--threads must be at least 1, not {args.threads}")
     ckpt = load_checkpoint(args.checkpoint)
-    vocab = ckpt.vocabulary
-    test_path = args.test or (args.data and os.path.join(args.data,
-                                                         "test.txt"))
-    if not test_path:
-        raise InputError("pass --test FILE or --data DIR")
-    eval_set = encode_split(vocab, load_split(test_path), "test")
+    splits = {}  # name -> encoded split, each file read once
 
-    filter_splits = []
+    def split(name: str) -> np.ndarray:
+        if name not in splits:
+            path = _split_path(args, name)
+            if path is None:
+                raise InputError(
+                    "pass --test FILE or --data DIR" if name == "test" else
+                    f"--filter-with {name} needs --data DIR to locate the "
+                    "file")
+            splits[name] = encode_split(ckpt.vocabulary, load_split(path),
+                                        name)
+        return splits[name]
+
+    # the ranked split is the `test` filter split
+    eval_set = split("test")
     names = [s.strip() for s in args.filter_with.split(",") if s.strip()]
-    for name in names:
-        if args.data:
-            path = os.path.join(args.data, f"{name}.txt")
-        elif name == "test":
-            path = test_path
-        else:
-            raise InputError(
-                f"--filter-with {name} needs --data DIR to locate the file")
-        filter_splits.append(encode_split(vocab, load_split(path), name))
-    filter_index = build_filter_index(filter_splits, names)
-
+    filter_index = build_filter_index([split(name) for name in names], names)
     p = args.p if args.p is not None else ckpt.config.p
-    if args.threads > 1:
-        metrics, _ = _parallel_evaluate(ckpt.params, eval_set, filter_index,
-                                        p, args.tie_policy, args.threads)
-    else:
-        metrics, _ = evaluate(ckpt.params, eval_set, filter_index, p,
-                              args.tie_policy)
-    print(report(metrics), end="")
-    out = args.out or _default_out()
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "metrics.txt"), "w", encoding="utf-8") as f:
-        f.write(report(metrics, format="structured"))
+    _rank_and_report(ckpt.params, eval_set, filter_index, p, args.tie_policy,
+                     args.threads, args.out or _default_out())
     return 0
 
 
 def cmd_inspect(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    train_path = args.train or (args.data and os.path.join(args.data,
-                                                           "train.txt"))
-    if not train_path:
+    train_path = _split_path(args, "train")
+    if train_path is None:
         raise InputError("pass --train FILE or --data DIR")
     train_set = encode_split(ckpt.vocabulary, load_split(train_path),
                              "train")
@@ -364,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "setting")
     p_eval.add_argument("--p", type=int, choices=NORMS, dest="p")
     p_eval.add_argument("--tie-policy", default="mean",
-                        choices=("optimistic", "pessimistic", "mean"))
+                        choices=TIE_POLICIES)
     p_eval.add_argument("--threads", type=int, default=1)
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_eval)

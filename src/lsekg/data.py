@@ -7,6 +7,7 @@ WN18RR distributions use.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -342,23 +343,14 @@ def detect_patterns(train: np.ndarray,
             if score >= inverse_threshold:
                 stats[r1].inverse_partners.append((r2, score))
 
+    paths = ((r1, r2, h, t)
+             for r1 in sorted(edges) for r2 in sorted(edges)
+             for h, m in sorted(edges[r1])
+             for t in out_by_head[r2].get(m, ()))
     support: dict[tuple[int, int, int], int] = defaultdict(int)
-    paths = 0
-    for r1 in sorted(edges):
-        for r2 in sorted(edges):
-            for h, m in sorted(edges[r1]):
-                for t in out_by_head[r2].get(m, ()):
-                    paths += 1
-                    for r3 in rels_of.get((h, t), ()):
-                        support[(r1, r2, r3)] += 1
-                    if paths >= composition_path_cap:
-                        break
-                if paths >= composition_path_cap:
-                    break
-            if paths >= composition_path_cap:
-                break
-        if paths >= composition_path_cap:
-            break
+    for r1, r2, h, t in itertools.islice(paths, composition_path_cap):
+        for r3 in rels_of.get((h, t), ()):
+            support[(r1, r2, r3)] += 1
     for (r1, r2, r3), n in sorted(support.items()):
         stats[r3].composition_samples.append((r1, r2, r3, n))
 

@@ -48,7 +48,7 @@ def corruption_side_probability(stats: RelationStats | None,
 
 
 class NegativeSampler:
-    """Stateful corruption sampler; one instance per worker, not thread-safe.
+    """Stateful corruption sampler; not thread-safe.
 
     `redraw_cap_hits` counts negatives accepted after exhausting the
     false-negative redraw budget.
@@ -56,12 +56,11 @@ class NegativeSampler:
 
     def __init__(self, n_e: int, config: SamplerConfig,
                  stats: dict[int, RelationStats] | None = None,
-                 filter_index: FilterIndex | None = None,
-                 worker: int = 0):
+                 filter_index: FilterIndex | None = None):
         self.n_e = n_e
         self.config = config
         self.filter_index = filter_index if config.filter_false_negatives else None
-        self.rng = substream(config.seed, "sampling", worker)
+        self.rng = substream(config.seed, "sampling")
         self.redraw_cap_hits = 0
 
         if config.mode == "bernoulli":

@@ -15,13 +15,12 @@ _STREAMS = {
 }
 
 
-def substream(seed: int, name: str, worker: int = 0) -> np.random.Generator:
-    """Return a generator for the named sub-stream of `seed`.
-
-    `worker` offsets the stream for per-worker sampler instances.
-    """
+def substream(seed: int, name: str) -> np.random.Generator:
+    """Return a generator for the named sub-stream of `seed`."""
     try:
         idx = _STREAMS[name]
     except KeyError:
         raise ValueError(f"unknown rng stream {name!r}") from None
-    return np.random.default_rng(np.random.SeedSequence([seed, idx, worker]))
+    # the trailing 0 is part of every stream's entropy; dropping it would
+    # change every stream, and with it every recorded run
+    return np.random.default_rng(np.random.SeedSequence([seed, idx, 0]))

@@ -150,13 +150,19 @@ def _active_rows(triples: np.ndarray, coeffs: np.ndarray,
 def sgd_step(params: Parameters, entity_grads: RowGrads,
              relation_grads: RowGrads, learning_rate: float) -> None:
     """Apply theta <- theta - lr * grad to exactly the listed rows, or,
-    when any gradient is non-finite, to none."""
-    for grads in (entity_grads, relation_grads):
-        if not np.isfinite(grads.rows).all():
-            raise LsekgError("non-finite gradient; step aborted")
-    for table, grads in ((params.entities, entity_grads),
-                         (params.relations, relation_grads)):
-        table[grads.ids] -= learning_rate * grads.rows
+    when any gradient or updated value is non-finite, to none."""
+    tables = ((params.entities, entity_grads),
+              (params.relations, relation_grads))
+    updated = []
+    for table, grads in tables:
+        rows = table[grads.ids]
+        rows -= learning_rate * grads.rows
+        # a non-finite gradient, or a finite one that overflows
+        if not np.isfinite(rows).all():
+            raise LsekgError("non-finite gradient or update; step aborted")
+        updated.append(rows)
+    for (table, grads), rows in zip(tables, updated):
+        table[grads.ids] = rows
 
 
 def _loss_coefficients(e_pos: np.ndarray, e_neg: np.ndarray,
@@ -203,8 +209,8 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
 
     Runs up to `config.max_steps` minibatch steps with reshuffled epochs,
     evaluating every `eval_every` steps and stopping after `patience`
-    non-improving evaluations. On divergence (a non-finite loss or
-    gradient) a warning is issued and the last good parameters are
+    non-improving evaluations. On divergence (a non-finite loss, gradient
+    or updated value) a warning is issued and the last good parameters are
     returned.
     """
     kind = ModelKind(kind)
@@ -261,9 +267,9 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                                             residual, config.p, energies)
             try:
                 sgd_step(params, ent_g, rel_g, config.learning_rate)
-            except LsekgError:  # a non-finite gradient; nothing applied
-                warnings.warn(f"non-finite gradient at step {step}; "
-                              "returning last good checkpoint")
+            except LsekgError:  # a non-finite update; nothing applied
+                warnings.warn(f"non-finite gradient or update at step "
+                              f"{step}; returning last good checkpoint")
                 diverged = True
                 break
             if config.normalize_entities and kind is ModelKind.TRANSE:

@@ -352,3 +352,27 @@ class TestDetectPatterns:
         total = sum(s[3] for rs in stats.values()
                     for s in rs.composition_samples)
         assert total <= 5
+
+    def test_composition_path_cap_keeps_the_first_paths(self):
+        raw = []
+        for i in range(20):
+            raw.append((f"a{i}", "r1", f"b{i}"))
+            raw.append((f"b{i}", "r2", f"c{i}"))
+            raw.append((f"a{i}", "r3", f"c{i}"))
+        ds = build_dataset(raw)
+        triples = [tuple(x) for x in ds.train.tolist()]
+        paths = sorted((r1, r2, h, m, t)
+                       for h, r1, m in triples
+                       for m2, r2, t in triples if m2 == m)
+        for cap in range(1, 22):
+            support = defaultdict(int)
+            for r1, r2, h, m, t in paths[:cap]:
+                for h3, r3, t3 in triples:
+                    if (h3, t3) == (h, t):
+                        support[(r1, r2, r3)] += 1
+            expected = defaultdict(list)
+            for (r1, r2, r3), n in sorted(support.items()):
+                expected[r3].append((r1, r2, r3, n))
+            stats = detect_patterns(ds.train, composition_path_cap=cap)
+            for r, rs in stats.items():
+                assert rs.composition_samples == expected[r], cap

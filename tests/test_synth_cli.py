@@ -239,6 +239,18 @@ class TestCliTrain:
         assert ckpt.config.max_steps == 50        # config beats profile
         assert ckpt.config.learning_rate == 0.02  # flag beats config
 
+    def test_split_flag_beats_data(self, synth_dir, tmp_path):
+        lines = (synth_dir / "test.txt").read_text().splitlines(
+            keepends=True)[:5]
+        (tmp_path / "t.txt").write_text("".join(lines))
+        proc = run_cli("train", "--model", "lse_d", "--data",
+                       str(synth_dir), "--test", str(tmp_path / "t.txt"),
+                       "--profile", "desk", "--max-steps", "20",
+                       "--eval-every", "0", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        text = (tmp_path / "out" / "metrics.txt").read_text()
+        assert f"n={2 * len(lines)}\n" in text.splitlines(keepends=True)
+
     def test_output_dir_env_var(self, synth_dir, tmp_path):
         out = tmp_path / "envout"
         proc = run_cli("train", "--model", "lse_d", "--data",
@@ -271,6 +283,57 @@ class TestCliEval:
             assert proc.returncode == 0, proc.stderr
             results.append((dest / "metrics.txt").read_text())
         assert results[0] == results[1]
+
+    def test_test_flag_is_the_test_filter_split(self, synth_dir,
+                                                trained_dir, tmp_path):
+        out, _ = trained_dir
+        ckpt = str(out / "lse_d.ckpt")
+        lines = (synth_dir / "test.txt").read_text().splitlines(
+            keepends=True)
+        test = tmp_path / "t.txt"
+        test.write_text("".join(lines[:len(lines) // 2]))
+        data, other = tmp_path / "data", tmp_path / "other"
+        shutil.copytree(synth_dir, data)
+        shutil.copyfile(synth_dir / "test.txt", data / "whole.txt")
+        shutil.copytree(synth_dir, other)
+        shutil.copyfile(test, other / "test.txt")
+        runs = {"flag": ("--data", str(data), "--test", str(test)),
+                "dir": ("--data", str(other)),
+                "whole": ("--data", str(data), "--test", str(test),
+                          "--filter-with", "train,valid,whole")}
+        metrics = {}
+        for name, flags in runs.items():
+            proc = run_cli("eval", "--checkpoint", ckpt, *flags, "--out",
+                           str(tmp_path / name))
+            assert proc.returncode == 0, proc.stderr
+            metrics[name] = (tmp_path / name / "metrics.txt").read_bytes()
+        assert metrics["flag"] == metrics["dir"]
+        # filtering by the whole test file ranks these triples otherwise
+        assert metrics["flag"] != metrics["whole"]
+
+    def test_each_file_read_once(self, synth_dir, trained_dir, tmp_path,
+                                 monkeypatch, capsys):
+        out, _ = trained_dir
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        lines = (data / "test.txt").read_text().splitlines(keepends=True)
+        (data / "test.txt").write_text("".join(lines + lines[:1]))
+        calls = []
+
+        def counting_load_split(path):
+            calls.append(path)
+            return load_split(path)
+
+        monkeypatch.setattr("lsekg.cli.load_split", counting_load_split)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--checkpoint", str(out / "lse_d.ckpt"),
+                         "--data", str(data), "--out",
+                         str(tmp_path / "eval")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 3
+        assert len([w for w in caught
+                    if "duplicate" in str(w.message)]) == 1
 
     def test_corrupt_checkpoint_exit_3(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -418,6 +481,28 @@ class TestCliExitCodes:
                               str(out / "lse_d.ckpt"), "--data",
                               str(synth_dir), "--threads", threads,
                               "--out", str(tmp_path)) == 2
+
+    def test_eval_filter_split_without_data_exit_2(self, capsys, synth_dir,
+                                                   trained_dir, tmp_path):
+        out, _ = trained_dir
+        code = main(["eval", "--checkpoint", str(out / "lse_d.ckpt"),
+                     "--test", str(synth_dir / "test.txt"), "--filter-with",
+                     "train", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--filter-with train needs --data" in err
+
+    def test_filter_split_is_never_a_flag(self, capsys, synth_dir,
+                                          trained_dir, tmp_path):
+        # `--filter-with out` names <--data>/out.txt, not the --out dir
+        out, _ = trained_dir
+        code = main(["eval", "--checkpoint", str(out / "lse_d.ckpt"),
+                     "--data", str(synth_dir), "--filter-with", "out",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "out.txt" in err
 
     @pytest.mark.parametrize("command, flag", [("eval", "--test"),
                                                ("inspect", "--train")])

@@ -11,6 +11,7 @@ from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import Vocabulary, build_dataset
 from lsekg.models import ModelKind, energy, init_params
 from lsekg.sampling import NegativeSampler, SamplerConfig
+from lsekg.synth import generate
 from lsekg.training import (CHECKPOINT_MAGIC, Checkpoint, RowGrads,
                             TrainConfig, ce_loss, load_checkpoint,
                             margin_loss, save_checkpoint,
@@ -130,6 +131,17 @@ class TestSgdStep:
             sgd_step(params, row_grads({0: np.array([np.nan, 0.0])}),
                      row_grads({}), 0.1)
         assert np.array_equal(params.entities, before)
+
+    def test_overflowing_update_aborts(self):
+        # lr * 10 overflows to inf, though the gradient is finite
+        params = init_params(ModelKind.LSE_D, 4, 2, 2, seed=3)
+        before = params.copy()
+        with pytest.raises(LsekgError):
+            sgd_step(params, row_grads({0: np.full(2, 10.0)}),
+                     row_grads({1: np.full(2, 10.0)}), 1e308)
+        assert np.array_equal(params.entities, before.entities)
+        assert np.array_equal(params.relation_vectors,
+                              before.relation_vectors)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_array_update_matches_row_by_row_bitwise(self, kind):
@@ -402,6 +414,20 @@ class TestTrain:
         assert np.array_equal(ckpt.params.entities, expected.params.entities)
         assert np.array_equal(ckpt.params.relation_vectors,
                               expected.params.relation_vectors)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_overflowing_learning_rate_returns_finite_parameters(self,
+                                                                 kind):
+        splits = generate("symmetric", 30, 120, 0.5, seed=0)
+        dataset = build_dataset(splits.train, splits.valid, splits.test)
+        config = desk_config(learning_rate=1.7e308, batch_size=1,
+                             eval_every=0,
+                             sampler=SamplerConfig(negatives_per_positive=1,
+                                                   seed=0))
+        with pytest.warns(UserWarning, match="last good checkpoint"):
+            ckpt = train(dataset, kind, config)
+        assert np.isfinite(ckpt.params.entities).all()
+        assert np.isfinite(ckpt.params.relations).all()
 
     def test_normalize_entities_projects_rows(self, tiny_dataset):
         config = desk_config(normalize_entities=True, max_steps=30,
