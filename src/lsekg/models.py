@@ -13,6 +13,8 @@ Each kind's math is written once, batched over rows: the relation map
 closed-form gradients (`_batch_gradients`). Scalar `energy` and
 `energy_gradients` are batches of one, and the training step, the
 all-entity block scan and `lemma_diagnostics` call the same functions.
+The row math runs in blocks of `_BLOCK_ROWS` rows, writing into the
+buffers of a `Workspace` that a training run keeps from step to step.
 Energies and gradients are pure reads of `Parameters`; the training module
 owns all mutation.
 """
@@ -20,6 +22,7 @@ owns all mutation.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -132,6 +135,52 @@ def init_params(kind: ModelKind, n_e: int, n_r: int, d: int,
 # the batched kernel
 # ---------------------------------------------------------------------------
 
+# Rows per block of the row-wise kernels: the training step's forward and
+# backward passes and the all-entity scan. A (512, d) float64 block stays in
+# cache at d = 200, where a whole-table temporary of WN18RR's 40,943 rows is
+# 65.5 MB that every query must fault in afresh. On a 2-core VM, the scan
+# took 1.05x the time of 512 rows with 128 rows, 1.3x with 2,048 and 2.1x
+# with 8,192. A WN18RR-shaped LSE_d training step (33,280 rows, d = 100)
+# took about as long with 256 and 1,024 rows as with 512, and 1.06x with
+# 2,048.
+_BLOCK_ROWS = 512
+
+# `_segment_sum` adds by sorted slices when the rows have at least this many
+# columns and the ids at least this many rows each on average, and by one
+# `np.bincount` otherwise. On a 2-core VM, 60,000 rows of 11 ids took 17 ms
+# by slices and 31 ms by bincount at d = 100, but 12 and 9 ms at d = 32;
+# at d = 100, 30 rows an id tied.
+_SLICE_MIN = 64
+
+
+class Workspace:
+    """Named buffers that the training kernels write into, kept from one
+    call to the next.
+
+    `buffer(name, shape)` returns a view of the buffer kept under `name`,
+    allocated anew only when it is too small, so the steps of a run fault
+    in no fresh batch-sized pages after the first. A view holds what its
+    last user left there. A kernel called without a workspace makes a fresh
+    one, whose buffers are new arrays; `train` keeps one for its run.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple[int, ...],
+               dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _blocks(n: int):
+    """The (lo, hi) bounds of `n` rows in blocks of `_BLOCK_ROWS`."""
+    return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
 def map_heads(params: Parameters, rows: np.ndarray, rels, ids=None,
               out: np.ndarray | None = None) -> np.ndarray:
     """Each kind's relation map applied to a batch of rows: LSE maps x to
@@ -142,8 +191,10 @@ def map_heads(params: Parameters, rows: np.ndarray, rels, ids=None,
     kind = params.kind
     if kind is not ModelKind.LSE:
         op = np.add if kind is ModelKind.TRANSE else np.multiply
-        if ids is not None:  # map the fresh gather in place
-            rows = out = rows[ids]
+        if ids is not None:
+            rows = rows[ids]
+            if out is None:  # map the fresh gather in place
+                out = rows
         return op(rows, params.relation_vectors[rels], out=out)
     mats = params.relation_matrices
     if ids is None:
@@ -157,14 +208,15 @@ def map_heads(params: Parameters, rows: np.ndarray, rels, ids=None,
     for r in np.unique(pair_rels):
         sel = pair_rels == r
         mapped[sel] = rows[pair_ids[sel]] @ mats[r]
-    return np.take(mapped, inv, axis=0, out=out)
+    # every inverse index is in range: "clip" spares the copy through a
+    # temporary that "raise" makes of `out`
+    return np.take(mapped, inv, axis=0, out=out, mode="clip")
 
 
 def _row_norms(residual: np.ndarray, p: int, out: np.ndarray | None = None,
-               overwrite: bool = False) -> np.ndarray:
-    """The p-norm of each row of `residual`, into `out` if given. With
-    `overwrite`, the residual's own buffer takes the |x| or x * x terms."""
-    terms = residual if overwrite else None
+               terms: np.ndarray | None = None) -> np.ndarray:
+    """The p-norm of each row of `residual`, into `out` if given. The |x| or
+    x * x terms go into `terms` if given, which may be `residual` itself."""
     if p == 1:
         terms = np.abs(residual, out=terms)
     else:
@@ -173,93 +225,153 @@ def _row_norms(residual: np.ndarray, p: int, out: np.ndarray | None = None,
     return norms if p == 1 else np.sqrt(norms, out=norms)
 
 
-def _batch_energies(params: Parameters, triples: np.ndarray, p: int):
+def _batch_energies(params: Parameters, triples: np.ndarray, p: int,
+                    workspace: Workspace | None = None):
     """Energies for an (N, 3) id array, plus the residual map(h) - t that
-    the backward pass needs (None for DistMult)."""
+    the backward pass needs (None for DistMult). Both are buffers of
+    `workspace`, valid until its next use.
+
+    Each block of `_BLOCK_ROWS` rows is gathered, mapped and normed while
+    it is in cache. A row's energy takes only its own elements, so the
+    block size does not change it; LSE maps the whole batch first, since
+    BLAS blocks a product's sums by its row count.
+    """
+    ws = Workspace() if workspace is None else workspace
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
     ents = params.entities
+    n, d = len(triples), params.d
+    energies = ws.buffer("energies", (n,))
+    block = ws.buffer("block", (min(n, _BLOCK_ROWS), d))
     if params.kind is ModelKind.DISTMULT:
-        # (h * t) * r keeps the energy bitwise symmetric under h <-> t
-        prod = ents[heads] * ents[tails]
-        prod *= params.relation_vectors[rels]
-        return -prod.sum(axis=1), None
-    # batch-sized temporaries are costly to allocate, so the residual is
-    # built in place
-    residual = map_heads(params, ents, rels, heads)
-    residual -= ents[tails]
-    return _row_norms(residual, p), residual
+        for lo, hi in _blocks(n):
+            # (h * t) * r keeps the energy bitwise symmetric under h <-> t
+            prod = np.multiply(ents[heads[lo:hi]], ents[tails[lo:hi]],
+                               out=block[:hi - lo])
+            prod *= params.relation_vectors[rels[lo:hi]]
+            prod.sum(axis=1, out=energies[lo:hi])
+        return np.negative(energies, out=energies), None
+    residual = ws.buffer("residual", (n, d))
+    if params.kind is ModelKind.LSE:
+        map_heads(params, ents, rels, heads, out=residual)
+    for lo, hi in _blocks(n):
+        res = residual[lo:hi]
+        if params.kind is not ModelKind.LSE:
+            map_heads(params, ents, rels[lo:hi], heads[lo:hi], out=res)
+        res -= ents[tails[lo:hi]]
+        _row_norms(res, p, out=energies[lo:hi], terms=block[:hi - lo])
+    return energies, residual
 
 
 def _batch_gradients(params: Parameters, triples: np.ndarray,
                      coeffs: np.ndarray, residual: np.ndarray | None, p: int,
-                     energies: np.ndarray) -> tuple[RowGrads, RowGrads]:
+                     energies: np.ndarray,
+                     workspace: Workspace | None = None
+                     ) -> tuple[RowGrads, RowGrads]:
     """Accumulate d(loss)/d(row) for every touched entity row and relation,
     given per-triple coefficients d(loss)/d(energy) and the forward pass's
-    residuals and energies for the same rows. The row ids come sorted."""
+    residuals and energies for the same rows. The row ids come sorted.
+
+    Each triple's coefficient times d(energy)/d(row) is computed in blocks
+    of `_BLOCK_ROWS` rows into contribution buffers of `workspace`, which
+    `_segment_sum` then sums per row. LSE's per-relation matrix products
+    take the whole batch, as in the forward pass.
+    """
+    ws = Workspace() if workspace is None else workspace
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
     kind = params.kind
-    h_rows = params.entities[heads]
-    # d(energy)/d(row) for the head rows, then the tail rows; like the
-    # forward pass, this writes into buffers instead of new temporaries
-    ent_contrib = np.empty((2 * len(triples), params.d))
-    g_head, g_tail = ent_contrib[:len(triples)], ent_contrib[len(triples):]
+    ents, vecs = params.entities, params.relation_vectors
+    n, d = len(triples), params.d
+    # the head rows' contributions, then the tail rows'
+    ent_contrib = ws.buffer("entity_contrib", (2 * n, d))
+    g_head, g_tail = ent_contrib[:n], ent_contrib[n:]
+    if not kind.uses_matrix:  # the forward pass's scratch block is free
+        units = ws.buffer("block", (min(n, _BLOCK_ROWS), d))
+        g_rel = ws.buffer("relation_contrib", (n, d))
 
-    if kind is ModelKind.DISTMULT:
-        r_rows = params.relation_vectors[rels]
-        t_rows = params.entities[tails]
-        np.negative(np.multiply(r_rows, t_rows, out=g_head), out=g_head)
-        np.negative(np.multiply(h_rows, r_rows, out=g_tail), out=g_tail)
-        g_rel = np.negative(np.multiply(h_rows, t_rows, out=h_rows),
-                            out=h_rows)
-    else:
+    for lo, hi in _blocks(n):
+        c = coeffs[lo:hi, None]
+        gh, gt = g_head[lo:hi], g_tail[lo:hi]
+        if kind is ModelKind.DISTMULT:
+            h_rows, t_rows = ents[heads[lo:hi]], ents[tails[lo:hi]]
+            r_rows = vecs[rels[lo:hi]]
+            gr = g_rel[lo:hi]
+            np.negative(np.multiply(r_rows, t_rows, out=gh), out=gh)
+            np.negative(np.multiply(h_rows, r_rows, out=gt), out=gt)
+            np.negative(np.multiply(h_rows, t_rows, out=gr), out=gr)
+            gh *= c
+            gt *= c
+            gr *= c
+            continue
         # d(energy)/d(residual): sign for L1 (sign(0) := 0), unit vector
-        # for L2 (zero at the origin)
+        # for L2 (zero at the origin). LSE keeps every row's where its head
+        # rows' gradients go, for the products below.
+        s = gh if kind.uses_matrix else units[:hi - lo]
         if p == 1:
-            s = np.sign(residual)
+            np.sign(residual[lo:hi], out=s)
         else:
-            norm = energies[:, None]
-            s = np.divide(residual, norm, out=np.zeros_like(residual),
-                          where=norm > 0)
-        np.negative(s, out=g_tail)
-        if kind is ModelKind.LSE:
-            uniq_r = np.unique(rels)
-            acc_r = np.empty((len(uniq_r), params.d, params.d))
-            for i, r in enumerate(uniq_r):
-                sel = rels == r
-                g_head[sel] = s[sel] @ params.relation_matrices[r].T
-                acc_r[i] = h_rows[sel].T @ (coeffs[sel, None] * s[sel])
-            relation_grads = RowGrads(uniq_r, acc_r)
-        elif kind is ModelKind.LSE_D:
-            np.multiply(s, params.relation_vectors[rels], out=g_head)
-            g_rel = np.multiply(s, h_rows, out=h_rows)
-        else:  # TransE
-            g_head[:] = s
-            g_rel = s
+            norm = energies[lo:hi, None]
+            s[...] = 0.0
+            np.divide(residual[lo:hi], norm, out=s, where=norm > 0)
+        np.negative(s, out=gt)
+        gt *= c
+        if kind is ModelKind.LSE_D:
+            np.multiply(s, vecs[rels[lo:hi]], out=gh)
+            gh *= c
+            gr = np.multiply(s, ents[heads[lo:hi]], out=g_rel[lo:hi])
+            gr *= c
+        elif kind is ModelKind.TRANSE:
+            np.multiply(s, c, out=gh)
+            np.multiply(s, c, out=g_rel[lo:hi])
 
-    # the segment sums run while the batch-sized temporaries above are
-    # still held: freeing them first let the allocator hand their pages
-    # back, and refaulting them slowed a WN18RR-shaped step by about 10%
-    c = coeffs[:, None]
-    ent_contrib *= np.concatenate([c, c])
+    if kind.uses_matrix:
+        uniq_r = np.unique(rels)
+        acc_r = np.empty((len(uniq_r), d, d))
+        for i, r in enumerate(uniq_r):
+            sel = rels == r
+            s = g_head[sel]
+            acc_r[i] = ents[heads[sel]].T @ (coeffs[sel, None] * s)
+            g_head[sel] = s @ params.relation_matrices[r].T
+        g_head *= coeffs[:, None]
+        relation_grads = RowGrads(uniq_r, acc_r)
+    else:
+        relation_grads = RowGrads(*_segment_sum(rels, g_rel, ws))
     entity_grads = RowGrads(*_segment_sum(np.concatenate([heads, tails]),
-                                          ent_contrib))
-    if not kind.uses_matrix:
-        g_rel *= c
-        relation_grads = RowGrads(*_segment_sum(rels, g_rel))
+                                          ent_contrib, ws))
     return entity_grads, relation_grads
 
 
-def _segment_sum(ids: np.ndarray, rows: np.ndarray
+def _segment_sum(ids: np.ndarray, rows: np.ndarray,
+                 workspace: Workspace | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the rows that share an id: (sorted unique ids, one sum per id).
+    """Sum the (N, d) rows that share an id: (sorted unique ids, one sum
+    per id).
 
-    `np.bincount` adds its weights in input order, so every sum is bitwise
-    the one that `np.add.at` into zeros gives, at a fraction of its cost.
+    Every sum adds its rows in input order, starting from +0.0, so it is
+    bitwise the one that `np.add.at` into zeros gives. Wide rows whose ids
+    cover many rows each (`_SLICE_MIN`), such as a batch's relations, are
+    summed as slices of the rows stably sorted by id: `sum(axis=0)` adds
+    the rows of a C-ordered (m, d) gather one after another (along a single
+    column it would sum pairwise), and `+= 0.0` turns the -0.0 that a
+    reduction starting from a slice's first row gives for a slice of -0.0
+    into the +0.0 of a sum from zero. Other rows go through one
+    `np.bincount` over (id, column) slots, built in `workspace`, which adds
+    its weights in input order.
     """
+    ws = Workspace() if workspace is None else workspace
+    n, d = rows.shape
     uniq, inv = np.unique(ids, return_inverse=True)
-    d = rows.shape[1]
-    slots = (inv[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(slots, weights=rows.ravel(), minlength=len(uniq) * d)
+    if d >= _SLICE_MIN and n >= _SLICE_MIN * len(uniq):
+        order = np.argsort(inv, kind="stable")
+        ends = np.cumsum(np.bincount(inv, minlength=len(uniq))).tolist()
+        sums = np.empty((len(uniq), d))
+        for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            rows[order[lo:hi]].sum(axis=0, out=sums[i])
+        sums += 0.0
+        return uniq, sums
+    slots = np.add((inv * d)[:, None], np.arange(d),
+                   out=ws.buffer("slots", (n, d), np.intp))
+    sums = np.bincount(slots.ravel(), weights=rows.ravel(),
+                       minlength=len(uniq) * d)
     return uniq, sums.reshape(len(uniq), d)
 
 
@@ -288,13 +400,6 @@ def energy_gradients(params: Parameters, h: int, r: int, t: int,
 # all-entity ranking
 # ---------------------------------------------------------------------------
 
-# Rows per block of the all-entity scan. A (512, d) float64 block stays in
-# cache at d = 200, where a whole-table temporary of WN18RR's 40,943 rows is
-# 65.5 MB that every query must fault in afresh. On a 2-core VM, 128 rows
-# took 1.05x, 2,048 rows 1.3x and 8,192 rows 2.1x the time of 512 rows.
-_BLOCK_ROWS = 512
-
-
 def _scan_entities(params: Parameters, fill, p: int) -> np.ndarray:
     """The p-norm of one residual row per entity, computed block by block.
 
@@ -308,11 +413,10 @@ def _scan_entities(params: Parameters, fill, p: int) -> np.ndarray:
     n_e = ents.shape[0]
     energies = np.empty(n_e)
     buf = np.empty((min(_BLOCK_ROWS, n_e), ents.shape[1]))
-    for lo in range(0, n_e, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_e)
+    for lo, hi in _blocks(n_e):
         res = buf[:hi - lo]
         fill(ents[lo:hi], res)
-        _row_norms(res, p, out=energies[lo:hi], overwrite=True)
+        _row_norms(res, p, out=energies[lo:hi], terms=res)
     return energies
 
 
@@ -324,7 +428,8 @@ def all_tail_energies(params: Parameters, h: int, r: int,
     if params.kind is ModelKind.DISTMULT:
         return -(ents @ mapped)
     if len(ents) <= _BLOCK_ROWS:  # one block: the scan's work, unwrapped
-        return _row_norms(np.subtract(mapped, ents), p, overwrite=True)
+        residual = np.subtract(mapped, ents)
+        return _row_norms(residual, p, terms=residual)
     return _scan_entities(
         params, lambda rows, out: np.subtract(mapped, rows, out=out), p)
 
@@ -340,7 +445,7 @@ def all_head_energies(params: Parameters, r: int, t: int,
     if len(ents) <= _BLOCK_ROWS:
         residual = map_heads(params, ents, r)
         residual -= t_row
-        return _row_norms(residual, p, overwrite=True)
+        return _row_norms(residual, p, terms=residual)
 
     def fill(rows, out):
         # for LSE, a matmul over one block of rows may block its sums

@@ -27,8 +27,8 @@ from lsekg.evaluation import evaluate
 # the batched forward and backward passes live with the models; the
 # benchmark's spans find them under these names too
 from lsekg.models import (ModelKind, Parameters, RowGrads,  # noqa: F401
-                          _batch_energies, _batch_gradients, _segment_sum,
-                          init_params)
+                          Workspace, _batch_energies, _batch_gradients,
+                          _blocks, _segment_sum, init_params)
 from lsekg.sampling import NegativeSampler, SamplerConfig
 from lsekg.seeding import substream
 
@@ -140,7 +140,10 @@ def _active_rows(triples: np.ndarray, coeffs: np.ndarray,
                  residual: np.ndarray | None, energies: np.ndarray):
     """Restrict a batch and its forward residuals to the rows whose loss
     coefficient is non-zero; the other rows add exact zeros to every
-    gradient, so the backward pass can skip them."""
+    gradient, so the backward pass can skip them. When every row is kept,
+    as under the ce loss, the inputs come back as they are, uncopied."""
+    if coeffs.all():
+        return triples, coeffs, residual, energies
     keep = np.flatnonzero(coeffs)
     if residual is not None:
         residual = residual[keep]
@@ -148,20 +151,31 @@ def _active_rows(triples: np.ndarray, coeffs: np.ndarray,
 
 
 def sgd_step(params: Parameters, entity_grads: RowGrads,
-             relation_grads: RowGrads, learning_rate: float) -> None:
+             relation_grads: RowGrads, learning_rate: float,
+             workspace: Workspace | None = None) -> None:
     """Apply theta <- theta - lr * grad to exactly the listed rows, or,
-    when any gradient or updated value is non-finite, to none."""
-    tables = ((params.entities, entity_grads),
-              (params.relations, relation_grads))
+    when any gradient or updated value is non-finite, to none; an overflow
+    raises `LsekgError`, not numpy's warning. The updated rows are computed
+    in blocks of `_BLOCK_ROWS` into the contribution buffers of
+    `workspace`, which the backward pass no longer needs once it has
+    summed them."""
+    ws = Workspace() if workspace is None else workspace
+    tables = (("entity_contrib", params.entities, entity_grads),
+              ("relation_contrib", params.relations, relation_grads))
     updated = []
-    for table, grads in tables:
-        rows = table[grads.ids]
-        rows -= learning_rate * grads.rows
-        # a non-finite gradient, or a finite one that overflows
-        if not np.isfinite(rows).all():
-            raise LsekgError("non-finite gradient or update; step aborted")
+    for name, table, grads in tables:
+        rows = ws.buffer(name, grads.rows.shape)
         updated.append(rows)
-    for (table, grads), rows in zip(tables, updated):
+        for lo, hi in _blocks(len(grads)):
+            block = rows[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(table[grads.ids[lo:hi]],
+                            learning_rate * grads.rows[lo:hi], out=block)
+            # a non-finite gradient, or a finite one that overflows
+            if not np.isfinite(block).all():
+                raise LsekgError("non-finite gradient or update; step "
+                                 "aborted")
+    for (_, table, grads), rows in zip(tables, updated):
         table[grads.ids] = rows
 
 
@@ -211,7 +225,12 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
     evaluating every `eval_every` steps and stopping after `patience`
     non-improving evaluations. On divergence (a non-finite loss, gradient
     or updated value) a warning is issued and the last good parameters are
-    returned.
+    returned; numpy's own overflow warnings are kept back, since the
+    finiteness checks decide.
+
+    Every step's forward pass, backward pass and update write into one
+    `Workspace`, which the steps of this call share and which is dropped
+    when it returns.
     """
     kind = ModelKind(kind)
     vocab = dataset.vocabulary
@@ -235,6 +254,7 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                           params=params.copy(), config=config, step=step,
                           best_valid_mrr=mrr)
 
+    workspace = Workspace()
     best = snapshot(0, None)
     best_mrr = -np.inf
     evaluated = False
@@ -251,10 +271,11 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
             neg = sampler.corrupt_batch(pos)
             b, k = neg.shape[:2]
             flat = np.concatenate([pos, neg.reshape(-1, 3)])
-            energies, residual = _batch_energies(params, flat, config.p)
-            e_pos = energies[:b]
-            e_neg = energies[b:].reshape(b, k)
-            loss, c_pos, c_neg = _loss_coefficients(e_pos, e_neg, config)
+            with np.errstate(over="ignore", invalid="ignore"):
+                energies, residual = _batch_energies(params, flat, config.p,
+                                                     workspace)
+                loss, c_pos, c_neg = _loss_coefficients(
+                    energies[:b], energies[b:].reshape(b, k), config)
             if not np.isfinite(loss):
                 warnings.warn(f"training diverged at step {step}; "
                               "returning last good checkpoint")
@@ -263,10 +284,14 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
             coeffs = np.concatenate([c_pos, c_neg.ravel()])
             triples, coeffs, residual, energies = _active_rows(
                 flat, coeffs, residual, energies)
-            ent_g, rel_g = _batch_gradients(params, triples, coeffs,
-                                            residual, config.p, energies)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # positional arguments only: tests wrap this with *args
+                ent_g, rel_g = _batch_gradients(params, triples, coeffs,
+                                                residual, config.p, energies,
+                                                workspace)
             try:
-                sgd_step(params, ent_g, rel_g, config.learning_rate)
+                sgd_step(params, ent_g, rel_g, config.learning_rate,
+                         workspace)
             except LsekgError:  # a non-finite update; nothing applied
                 warnings.warn(f"non-finite gradient or update at step "
                               f"{step}; returning last good checkpoint")

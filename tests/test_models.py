@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lsekg.models
 from lsekg import ConsistencyError
 from lsekg.data import RelationStats
 from lsekg.models import (_BLOCK_ROWS, ModelKind, Parameters,
@@ -189,6 +190,14 @@ class TestGradients:
         np.testing.assert_allclose(g.d_head, fd_head, rtol=tol, atol=tol)
         np.testing.assert_allclose(g.d_tail, fd_tail, rtol=tol, atol=tol)
         np.testing.assert_allclose(g.d_relation, fd_rel, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 10_000])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    def test_matches_finite_differences_at_any_block_size(
+            self, monkeypatch, block_rows, kind, p_norm):
+        monkeypatch.setattr(lsekg.models, "_BLOCK_ROWS", block_rows)
+        self.test_matches_finite_differences(kind, p_norm)
 
 
 def assert_matches_oracle(kind, batched, singles):

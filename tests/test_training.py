@@ -1,18 +1,20 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lsekg.models
 import lsekg.training
 from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import Vocabulary, build_dataset
-from lsekg.models import ModelKind, energy, init_params
+from lsekg.models import ModelKind, Workspace, energy, init_params
 from lsekg.sampling import NegativeSampler, SamplerConfig
 from lsekg.synth import generate
-from lsekg.training import (CHECKPOINT_MAGIC, Checkpoint, RowGrads,
+from lsekg.training import (CHECKPOINT_MAGIC, LOSSES, Checkpoint, RowGrads,
                             TrainConfig, ce_loss, load_checkpoint,
                             margin_loss, save_checkpoint,
                             sgd_step, train, triple_probability,
@@ -143,6 +145,15 @@ class TestSgdStep:
         assert np.array_equal(params.relation_vectors,
                               before.relation_vectors)
 
+    def test_overflowing_update_raises_no_runtime_warning(self):
+        params = init_params(ModelKind.LSE_D, 4, 2, 2, seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(LsekgError):
+                sgd_step(params, row_grads({0: np.full(2, 10.0)}),
+                         row_grads({1: np.full(2, 10.0)}), 1e308)
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_array_update_matches_row_by_row_bitwise(self, kind):
         rng = np.random.default_rng(21)
@@ -208,6 +219,20 @@ class TestSgdStep:
 def test_batch_gradient_matches_finite_differences(kind, loss):
     """Full-batch gradient of loss(energies) vs central differences through
     the composed map, p=2 (smooth everywhere)."""
+    check_batch_gradient(kind, loss)
+
+
+@pytest.mark.parametrize("block_rows", [1, 4])
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("loss", ["margin", "ce"])
+def test_blocked_batch_gradient_matches_finite_differences(
+        monkeypatch, block_rows, kind, loss):
+    """The same check with the batch's 6 rows split into blocks."""
+    monkeypatch.setattr(lsekg.models, "_BLOCK_ROWS", block_rows)
+    check_batch_gradient(kind, loss)
+
+
+def check_batch_gradient(kind, loss):
     rng = np.random.default_rng(8)
     d = 8
     params = init_params(kind, 6, 2, d, seed=8)
@@ -319,6 +344,58 @@ def test_segment_sum_matches_add_at_bitwise():
     assert np.array_equal(uniq, ref_ids)
     assert np.array_equal(sums, ref)
 
+    # unsorted ids with -0.0 rows, an id of only -0.0 rows and ids of one
+    # row, summed by slices (wide rows, few ids) and by bincount (many
+    # ids, or narrow rows)
+    for n_ids, d in ((4, 64), (300, 64), (4, 1)):
+        ids = rng.permutation(np.concatenate([
+            rng.integers(0, n_ids, size=600), [n_ids + 3, n_ids + 7]]))
+        rows = rng.normal(size=(len(ids), d))
+        rows[rng.random(len(ids)) < 0.2] = -0.0
+        rows[ids == ids[0]] = -0.0
+        rows[ids == n_ids + 3] = -0.0
+        uniq, sums = _segment_sum(ids, rows)
+        ref_ids, inv = np.unique(ids, return_inverse=True)
+        ref = np.zeros((len(ref_ids), d))
+        np.add.at(ref, inv, rows)
+        assert np.array_equal(uniq, ref_ids)
+        assert np.array_equal(sums.view(np.uint64), ref.view(np.uint64))
+
+
+def test_active_rows_returns_a_full_batch_uncopied():
+    flat = np.array([[0, 0, 1], [2, 1, 3]])
+    batch = (flat, np.array([0.5, -0.25]), np.ones((2, 4)), np.ones(2))
+    assert all(a is b for a, b in zip(_active_rows(*batch), batch))
+
+
+def test_active_rows_drops_the_zero_coefficient_rows():
+    flat = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5]])
+    residual = np.arange(12.0).reshape(3, 4)
+    triples, coeffs, res, energies = _active_rows(
+        flat, np.array([0.5, 0.0, -0.25]), residual, np.arange(3.0))
+    assert triples.tolist() == [[0, 0, 1], [4, 0, 5]]
+    assert coeffs.tolist() == [0.5, -0.25]
+    assert np.array_equal(res, residual[[0, 2]])
+    assert energies.tolist() == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_workspace_buffers_serve_every_step(kind):
+    """A second batch, no larger than the first, is scored and
+    differentiated in the buffers of the first: no new arrays."""
+    rng = np.random.default_rng(5)
+    params = init_params(kind, 30, 3, 8, seed=5)
+    workspace = Workspace()
+    seen = []
+    for n in (40, 25):
+        flat = rng.integers(0, [30, 3, 30], size=(n, 3))
+        energies, residual = _batch_energies(params, flat, 1, workspace)
+        _batch_gradients(params, flat, rng.normal(size=n), residual, 1,
+                         energies, workspace)
+        seen.append(dict(workspace._buffers))
+    assert seen[0].keys() == seen[1].keys()
+    assert all(seen[0][k] is seen[1][k] for k in seen[0])
+
 
 @pytest.fixture
 def tiny_dataset():
@@ -428,6 +505,23 @@ class TestTrain:
             ckpt = train(dataset, kind, config)
         assert np.isfinite(ckpt.params.entities).all()
         assert np.isfinite(ckpt.params.relations).all()
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_overflow_raises_no_runtime_warning(self, kind):
+        """numpy's overflow warnings stay inside `train`; its own warning
+        reports the divergence."""
+        splits = generate("symmetric", 30, 120, 0.5, seed=0)
+        dataset = build_dataset(splits.train, splits.valid, splits.test)
+        config = desk_config(learning_rate=1.7e308, batch_size=1,
+                             eval_every=0,
+                             sampler=SamplerConfig(negatives_per_positive=1,
+                                                   seed=0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train(dataset, kind, config)
+        assert [w.category for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert any("last good checkpoint" in str(w.message) for w in caught)
 
     def test_normalize_entities_projects_rows(self, tiny_dataset):
         config = desk_config(normalize_entities=True, max_steps=30,
@@ -651,3 +745,26 @@ class TestCheckpointFuzz:
         loaded = loads_or_rejects(path)
         assert loaded is not None and loaded.step == 7
         assert np.array_equal(loaded.params.entities, ckpt.params.entities)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_block_size_leaves_trajectory_bitwise(self, tiny_dataset,
+                                                  monkeypatch, kind, p_norm,
+                                                  loss):
+        """Blocks of 1 row, of 3 rows and of more than a batch give the
+        checkpoint of the default block size, bit for bit, over steps that
+        include an epoch's partial last batch."""
+        config = desk_config(loss=loss, p=p_norm, max_steps=5, eval_every=0)
+        # 40 triples in batches of 16: every third batch has 8
+        assert len(tiny_dataset.train) % config.batch_size
+        expected = train(tiny_dataset, kind, config).params
+        for block_rows in (1, 3, 10_000):
+            monkeypatch.setattr(lsekg.models, "_BLOCK_ROWS", block_rows)
+            params = train(tiny_dataset, kind, config).params
+            for got, want in ((params.entities, expected.entities),
+                              (params.relations, expected.relations)):
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
