@@ -206,15 +206,28 @@ class FilterIndex:
     def __contains__(self, triple) -> bool:
         return bool(self.contains(tuple(triple)))
 
+    def known_tail_pairs(self, heads, relations
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """The known tails of every (head, relation) pair in one flat form,
+        `(query, ids)`: ids[k] is a known tail of pair query[k]. The pairs
+        come sorted by query, then by id."""
+        return self._pairs(self.tail_keys,
+                           self._bases(heads, relations, self.n_e, self.n_r))
+
+    def known_head_pairs(self, relations, tails
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """The known heads of every (relation, tail) pair, flat as in
+        `known_tail_pairs`."""
+        return self._pairs(self.head_keys,
+                           self._bases(relations, tails, self.n_r, self.n_e))
+
     def known_tails(self, heads, relations) -> list[np.ndarray]:
         """The sorted known tail ids of each (head, relation) pair."""
-        return self._runs(self.tail_keys,
-                          self._bases(heads, relations, self.n_e, self.n_r))
+        return _split(*self.known_tail_pairs(heads, relations), len(heads))
 
     def known_heads(self, relations, tails) -> list[np.ndarray]:
         """The sorted known head ids of each (relation, tail) pair."""
-        return self._runs(self.head_keys,
-                          self._bases(relations, tails, self.n_r, self.n_e))
+        return _split(*self.known_head_pairs(relations, tails), len(tails))
 
     def true_tails(self, head: int, relation: int) -> np.ndarray:
         return self.known_tails([head], [relation])[0]
@@ -232,14 +245,26 @@ class FilterIndex:
         # an id out of range may overflow here; its base is dropped
         return np.where(known, (major * n_minor + minor) * self.n_e, -1)
 
-    def _runs(self, keys: np.ndarray, bases: np.ndarray) -> list[np.ndarray]:
-        """The keys in [base, base + n_e) less their base, for each base:
-        one search finds the bounds of every run. A base of -1 has none."""
+    def _pairs(self, keys: np.ndarray,
+               bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The keys in [base, base + n_e) less their base, for each base, as
+        (base index, id) pairs: one search finds the bounds of every run. A
+        base of -1 has none."""
         ends = np.where(bases < 0, bases, bases + self.n_e)
-        bounds = np.searchsorted(keys, np.concatenate([bases, ends]))
         n = len(bases)
-        return [keys[lo:hi] - base for lo, hi, base in
-                zip(bounds[:n].tolist(), bounds[n:].tolist(), bases.tolist())]
+        bounds = np.searchsorted(keys, np.concatenate([bases, ends]))
+        counts = bounds[n:] - bounds[:n]
+        query = np.repeat(np.arange(n), counts)
+        # each pair's offset within its run, plus the run's first key
+        at = np.arange(len(query)) + np.repeat(
+            bounds[:n] - (np.cumsum(counts) - counts), counts)
+        return query, keys[at] - bases[query]
+
+
+def _split(query: np.ndarray, ids: np.ndarray, n: int) -> list[np.ndarray]:
+    """The ids of each of `n` queries, from sorted (query, id) pairs."""
+    ends = np.cumsum(np.bincount(query, minlength=n)).tolist()
+    return [ids[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def build_filter_index(splits: Iterable,

@@ -9,12 +9,21 @@ import numpy as np
 
 from lsekg import ConsistencyError
 from lsekg.data import FilterIndex
-from lsekg.models import Parameters, all_head_energies, all_tail_energies
+from lsekg.models import Parameters, all_entity_energies
 
 TIE_POLICIES = ("optimistic", "pessimistic", "mean")
 
+# `evaluate` ranks its triples in chunks of `_CHUNK_ENERGIES // n_e` (at
+# least one), so that each side of a chunk holds at most this many energies,
+# 4 MB of float64, however long the eval set. At WN18RR's 40,943 entities a
+# chunk holds 12 triples; on a 2-core VM, 8 to 16 queries per scan ran
+# fastest there.
+_CHUNK_ENERGIES = 1 << 19
 
-def _tie_rank(better: int, equal: int, tie_policy: str) -> float:
+
+def _tie_rank(better, equal, tie_policy: str):
+    """The rank of a truth that `better` candidates beat and `equal` tie;
+    ints or int arrays."""
     if tie_policy == "optimistic":
         return 1.0 + better
     if tie_policy == "pessimistic":
@@ -27,14 +36,50 @@ def _check_tie_policy(tie_policy: str) -> None:
         raise ValueError(f"unknown tie policy {tie_policy!r}")
 
 
-def _nan_last(energies: np.ndarray, e_truth) -> tuple[np.ndarray, float]:
-    """The energies and the truth's energy with NaN read as +inf, so that a
-    NaN ranks behind every finite energy and ties with the other NaNs.
-    Below +inf a NaN candidate already counts as neither better nor tied,
-    so only a NaN or +inf truth needs the copy."""
-    if e_truth < np.inf:
-        return energies, e_truth
-    return np.where(np.isnan(energies), np.inf, energies), np.inf
+def _count_ranks(energies: np.ndarray, truths: np.ndarray,
+                 query: np.ndarray, known: np.ndarray,
+                 tie_policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """The raw and the filtered rank of each row's truth in an
+    ascending-energy ordering of the row, counted for all rows at once.
+
+    `energies` is (Q, n), `truths` holds the truth's column in each row, and
+    (`query`, `known`) are flat pairs: known[k] is a known-true id of row
+    query[k], distinct within a row, and may be the truth itself, which is
+    never counted. The better and tied candidates are counted once over
+    every entity; the filtered rank then takes away those at the known-true
+    ids. A NaN energy ranks as +inf: it ties with the other NaNs and +inf,
+    and below +inf it is neither better than a truth nor tied with it.
+    """
+    rows = np.arange(len(truths))
+    e_truth = energies[rows, truths]
+    last = ~(e_truth < np.inf)  # a NaN or +inf truth
+    e_truth = np.where(last, np.inf, e_truth)[:, None]
+    better = np.count_nonzero(energies < e_truth, axis=1)
+    # less the truth, which ties with itself
+    equal = np.count_nonzero(energies == e_truth, axis=1) - 1
+    if last.any():
+        equal[last] += np.count_nonzero(np.isnan(energies[last]), axis=1)
+    raw = _tie_rank(better, equal, tie_policy)
+    others = known != truths[query]
+    query, known = query[others], known[others]
+    e_known, e_truth = energies[query, known], e_truth[query, 0]
+    tied = (e_known == e_truth) | (np.isnan(e_known) & last[query])
+    better -= np.bincount(query[e_known < e_truth], minlength=len(rows))
+    equal -= np.bincount(query[tied], minlength=len(rows))
+    return raw, _tie_rank(better, equal, tie_policy)
+
+
+def _raw_and_filtered_ranks(energies: np.ndarray, truth: int,
+                            known: np.ndarray,
+                            tie_policy: str) -> tuple[float, float]:
+    """The raw and the filtered rank of one query: a batch of one of
+    `_count_ranks`. `known`, an int array of distinct ids, may hold the
+    truth itself, which is never counted."""
+    known = np.asarray(known, np.int64)
+    raw, filtered = _count_ranks(
+        np.asarray(energies)[None], np.array([truth]),
+        np.zeros(len(known), np.intp), known, tie_policy)
+    return float(raw[0]), float(filtered[0])
 
 
 def rank_of_truth(energies: np.ndarray, truth: int,
@@ -50,41 +95,13 @@ def rank_of_truth(energies: np.ndarray, truth: int,
     energies = np.asarray(energies)
     if not 0 <= truth < energies.shape[0]:
         raise ConsistencyError(f"truth id {truth} out of range")
-    keep = np.ones(energies.shape[0], dtype=bool)
+    masked = np.zeros(energies.shape[0], dtype=bool)
     if mask is not None:
-        keep[list(mask)] = False
-        if not keep[truth]:
+        masked[list(mask)] = True
+        if masked[truth]:
             raise ConsistencyError("truth must not be masked")
-    keep[truth] = False
-    energies, e_truth = _nan_last(energies, energies[truth])
-    others = energies[keep]
-    better = int((others < e_truth).sum())
-    equal = int((others == e_truth).sum())
-    return _tie_rank(better, equal, tie_policy)
-
-
-def _raw_and_filtered_ranks(energies: np.ndarray, truth: int,
-                            known: np.ndarray,
-                            tie_policy: str) -> tuple[float, float]:
-    """The raw and the filtered `rank_of_truth` of one query, from one
-    comparison pass over all candidates.
-
-    The better and tied candidates are counted once over every entity; the
-    filtered rank then takes away those at the known-true ids (`known`, an
-    int array, may hold the truth itself, which is never counted).
-    """
-    energies, e_truth = _nan_last(energies, energies[truth])
-    better = np.count_nonzero(energies < e_truth)
-    # less the truth, which ties with itself
-    equal = np.count_nonzero(energies == e_truth) - 1
-    raw = _tie_rank(int(better), int(equal), tie_policy)
-    ids = known[known != truth]
-    if not len(ids):
-        return raw, raw
-    e_known = energies[ids]
-    better -= np.count_nonzero(e_known < e_truth)
-    equal -= np.count_nonzero(e_known == e_truth)
-    return raw, _tie_rank(int(better), int(equal), tie_policy)
+    return _raw_and_filtered_ranks(energies, truth, np.flatnonzero(masked),
+                                   tie_policy)[1]
 
 
 @dataclass(frozen=True)
@@ -156,8 +173,14 @@ def evaluate(params: Parameters, eval_set,
     `eval_set` is an (n, 3) int id array or a sequence of id triples. Raw
     ranks consider all entities; filtered ranks exclude the other
     known-true entities recorded in `filter_index`. A triple whose ids lie
-    outside the model's entity or relation range raises `ConsistencyError`
+    outside the model's entity or relation range, or a known-true entity of
+    one of its queries outside the entity range, raises `ConsistencyError`
     before anything is scored.
+
+    The triples are ranked in chunks of at most `_CHUNK_ENERGIES // n_e`,
+    each side of a chunk scored as one batch (`all_entity_energies`) and
+    counted as one (`_count_ranks`), so a chunk's memory does not grow with
+    the eval set.
     """
     _check_tie_policy(tie_policy)
     n_e, n_r = params.n_e, params.n_r
@@ -167,20 +190,35 @@ def evaluate(params: Parameters, eval_set,
         raise ConsistencyError(
             f"triple {tuple(ids[outside.argmax()].tolist())} outside the "
             f"model vocabulary (n_e={n_e}, n_r={n_r})")
-    known_tails = filter_index.known_tails(ids[:, 0], ids[:, 1])
-    known_heads = filter_index.known_heads(ids[:, 1], ids[:, 2])
-    records: list[RankRecord] = []
-    for triple, tails, heads in zip(map(tuple, ids.tolist()), known_tails,
-                                    known_heads):
-        h, r, t = triple
-        raw, filtered = _raw_and_filtered_ranks(
-            all_tail_energies(params, h, r, p), t, tails, tie_policy)
-        records.append(RankRecord(triple=triple, side="tail",
-                                  raw_rank=raw, filtered_rank=filtered))
-        raw, filtered = _raw_and_filtered_ranks(
-            all_head_energies(params, r, t, p), h, heads, tie_policy)
-        records.append(RankRecord(triple=triple, side="head",
-                                  raw_rank=raw, filtered_rank=filtered))
+    heads, rels, tails = ids.T
+    sides = (("tail", heads, tails,
+              filter_index.known_tail_pairs(heads, rels)),
+             ("head", tails, heads,
+              filter_index.known_head_pairs(rels, tails)))
+    for side, _, _, (query, known) in sides:
+        if len(known) and known.max() >= n_e:
+            at = query[known.argmax()]
+            raise ConsistencyError(
+                f"the filter index holds a known {side} {known.max()} of "
+                f"triple {tuple(ids[at].tolist())}, outside the model "
+                f"vocabulary (n_e={n_e})")
+    ranks = np.empty((len(ids), 2, 2))  # triple, side, raw | filtered
+    chunk = max(1, _CHUNK_ENERGIES // n_e)
+    for lo in range(0, len(ids), chunk):
+        hi = min(lo + chunk, len(ids))
+        for i, (side, anchors, truths, (query, known)) in enumerate(sides):
+            a, b = np.searchsorted(query, (lo, hi))
+            energies = all_entity_energies(params, side, anchors[lo:hi],
+                                           rels[lo:hi], p)
+            ranks[lo:hi, i] = np.stack(_count_ranks(
+                energies, truths[lo:hi], query[a:b] - lo, known[a:b],
+                tie_policy), axis=1)
+    records = [RankRecord(triple=triple, side=side, raw_rank=raw,
+                          filtered_rank=filtered)
+               for triple, triple_ranks in zip(map(tuple, ids.tolist()),
+                                               ranks.tolist())
+               for side, (raw, filtered) in zip(("tail", "head"),
+                                                triple_ranks)]
     return aggregate(records, tie_policy), records
 
 

@@ -242,6 +242,28 @@ class TestFilterIndex:
                     heads.get((a, b), ()))
                 assert ((a, b, 0) in idx) == (0 in tails.get((a, b), ()))
 
+    @pytest.mark.parametrize("side", ["tail", "head"])
+    def test_pairs_are_the_flat_form_of_the_known_sets(self, side):
+        rng = np.random.default_rng(8)
+        triples = rng.integers(0, [9, 3, 9], size=(60, 3))
+        idx = build_filter_index([triples])
+        # in range, out of range, repeated, and a pair with no known ids
+        a = np.array([0, 4, 4, -1, 9, 8, 2**40, 3])
+        b = np.array([1, 2, 2, 0, 0, 1, 0, 1])
+        if side == "tail":
+            query, ids = idx.known_tail_pairs(a, b)
+            runs = [idx.true_tails(x, y) for x, y in zip(a, b)]
+        else:
+            query, ids = idx.known_head_pairs(b, a)
+            runs = [idx.true_heads(y, x) for x, y in zip(a, b)]
+        assert query.tolist() == [i for i, run in enumerate(runs)
+                                  for _ in run]
+        assert ids.tolist() == [x for run in runs for x in run.tolist()]
+        assert any(not len(run) for run in runs)
+        assert idx.known_tails([], []) == [] == idx.known_heads([], [])
+        query, ids = idx.known_tail_pairs([], [])
+        assert len(query) == len(ids) == 0
+
     def test_key_overflow_rejected(self):
         with pytest.raises(ConsistencyError, match="int64"):
             build_filter_index([((3_037_000_500, 0, 0),)])

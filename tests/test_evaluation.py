@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import lsekg.evaluation
 from lsekg import ConsistencyError
 from lsekg.data import build_filter_index
 from lsekg.evaluation import (TIE_POLICIES, MetricBlock, Metrics,
                               RankRecord, _raw_and_filtered_ranks, aggregate,
                               evaluate, parse_structured, rank_of_truth,
                               report)
-from lsekg.models import ModelKind, energy, init_params
+from lsekg.models import (ModelKind, all_head_energies, all_tail_energies,
+                          energy, init_params)
 
 
 class TestRankOfTruth:
@@ -186,6 +190,110 @@ class TestEvaluate:
         params, eval_set, idx = small_setup()
         with pytest.raises(ValueError):
             evaluate(params, eval_set, idx, tie_policy="median")
+
+
+def oracle_records(params, eval_set, idx, p, tie_policy):
+    """The records of `evaluate`, one query at a time: `rank_of_truth`
+    over `all_tail_energies` and `all_head_energies`."""
+    records = []
+    for h, r, t in eval_set:
+        triple = (int(h), int(r), int(t))
+        for side, energies, truth, known in (
+                ("tail", all_tail_energies(params, h, r, p), t,
+                 idx.true_tails(h, r)),
+                ("head", all_head_energies(params, r, t, p), h,
+                 idx.true_heads(r, t))):
+            records.append(RankRecord(
+                triple, side, rank_of_truth(energies, truth, None, tie_policy),
+                rank_of_truth(energies, truth, set(known.tolist()) - {truth},
+                              tie_policy)))
+    return records
+
+
+class TestChunkedEvaluate:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    @pytest.mark.parametrize("tie_policy", TIE_POLICIES)
+    @pytest.mark.parametrize("model", ["plain", "tied", "nan"])
+    def test_records_equal_the_per_query_oracle(self, monkeypatch, kind,
+                                                p_norm, tie_policy, model):
+        n_e = 40
+        params = init_params(kind, n_e, 3, 5, seed=11)
+        rng = np.random.default_rng(12)
+        triples = np.unique(rng.integers(0, [n_e, 3, n_e], size=(90, 3)),
+                            axis=0)
+        rng.shuffle(triples)
+        eval_set = triples[:23]
+        if model == "tied":
+            # a zero relation and repeated rows tie whole candidate sets
+            if kind.uses_matrix:
+                params.relation_matrices[1] = 0.0
+            else:
+                params.relation_vectors[1] = 0.0
+            params.entities[::4] = params.entities[0]
+        elif model == "nan":
+            params.entities[[3, 17]] = np.nan
+            params.entities[eval_set[0, 0]] = np.nan
+            params.entities[eval_set[1, 2], 0] = np.inf
+        # the eval set is only partly indexed, so some known sets are empty
+        idx = build_filter_index([triples[10:]])
+        assert any(not len(idx.true_tails(h, r)) for h, r, _ in eval_set)
+        # chunks of 5 triples: 23 is no multiple of 5
+        monkeypatch.setattr(lsekg.evaluation, "_CHUNK_ENERGIES", 5 * n_e)
+        with np.errstate(invalid="ignore"):
+            metrics, records = evaluate(params, eval_set, idx, p_norm,
+                                        tie_policy)
+            want = oracle_records(params, eval_set, idx, p_norm, tie_policy)
+        assert records == want
+        assert all(type(x) is float for rec in records
+                   for x in (rec.raw_rank, rec.filtered_rank))
+        assert metrics == aggregate(want, tie_policy)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1_000])
+    def test_chunk_size_leaves_records_equal(self, monkeypatch, chunk):
+        params, eval_set, idx = small_setup(ModelKind.LSE, n_triples=40)
+        want = evaluate(params, eval_set, idx)
+        monkeypatch.setattr(lsekg.evaluation, "_CHUNK_ENERGIES",
+                            chunk * params.n_e)
+        assert evaluate(params, eval_set, idx) == want
+
+    def test_never_holds_the_whole_set_energy_matrix(self):
+        n_e, n_triples = 20_000, 400
+        params = init_params(ModelKind.LSE_D, n_e, 4, 2, seed=13)
+        rng = np.random.default_rng(13)
+        eval_set = rng.integers(0, [n_e, 4, n_e], size=(n_triples, 3))
+        idx = build_filter_index([eval_set])
+        whole = n_triples * n_e * 8  # one side's energies, 64 MB
+        tracemalloc.start()
+        try:
+            metrics, _ = evaluate(params, eval_set, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert metrics.n_queries == 2 * n_triples
+        assert peak < whole / 4
+
+    def test_lse_holds_no_matrix_per_query(self):
+        n_e, d, n_triples = 1_000, 128, 300
+        params = init_params(ModelKind.LSE, n_e, 40, d, seed=14)
+        rng = np.random.default_rng(14)
+        eval_set = rng.integers(0, [n_e, 40, n_e], size=(n_triples, 3))
+        idx = build_filter_index([eval_set])
+        gather = n_triples * d * d * 8  # one (Q, d, d) matrix gather, 39 MB
+        tracemalloc.start()
+        try:
+            evaluate(params, eval_set, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gather / 4
+
+    @pytest.mark.parametrize("known", [(0, 0, 7), (7, 0, 1)])
+    def test_known_entity_outside_the_model_rejected(self, known):
+        params = init_params(ModelKind.LSE_D, 5, 1, 4, seed=0)
+        idx = build_filter_index([((0, 0, 1), known)])
+        with pytest.raises(ConsistencyError, match="outside"):
+            evaluate(params, ((0, 0, 1),), idx)
 
 
 class TestReport:

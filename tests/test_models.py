@@ -5,9 +5,10 @@ import lsekg.models
 from lsekg import ConsistencyError
 from lsekg.data import RelationStats
 from lsekg.models import (_BLOCK_ROWS, ModelKind, Parameters,
-                          _scan_entities, all_head_energies,
-                          all_tail_energies, energy, energy_gradients,
-                          init_params, lemma_diagnostics, map_heads)
+                          _scan_entities, all_entity_energies,
+                          all_head_energies, all_tail_energies, energy,
+                          energy_gradients, init_params, lemma_diagnostics,
+                          map_heads)
 from lsekg.training import _batch_energies, _batch_gradients
 
 KINDS = list(ModelKind)
@@ -306,6 +307,55 @@ class TestBatchedKernels:
         params.relation_vectors[0] = 1.0
         energies = all_tail_energies(params, 2, 0, p=1)
         assert energies[2] == 0.0
+
+
+# a chunk of 16 queries scans 32-row slices; 17 leave a remainder in each
+# block, and more queries than a block has rows scan one row at a time
+QUERY_COUNTS = [1, 16, 17, _BLOCK_ROWS + 1]
+
+
+class TestAllEntityEnergies:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    @pytest.mark.parametrize("n_e", [50, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("n_queries", QUERY_COUNTS)
+    def test_rows_are_bitwise_the_single_queries(self, kind, p_norm, n_e,
+                                                 n_queries):
+        params = make_params(kind, n_e=n_e, n_r=5, d=7, seed=n_e + p_norm)
+        rng = np.random.default_rng(n_queries)
+        anchors = rng.integers(0, n_e, n_queries)
+        # the relations cycle, so a batch of 16 spans all five
+        rels = (np.arange(n_queries) + rng.integers(5)) % 5
+        if n_queries >= 16:
+            assert len(set(rels[:16].tolist())) >= 3
+        tails = all_entity_energies(params, "tail", anchors, rels, p_norm)
+        heads = all_entity_energies(params, "head", anchors, rels, p_norm)
+        assert tails.shape == heads.shape == (n_queries, n_e)
+        want_tails = np.stack([all_tail_energies(params, a, r, p_norm)
+                               for a, r in zip(anchors, rels)])
+        want_heads = np.stack([all_head_energies(params, r, a, p_norm)
+                               for a, r in zip(anchors, rels)])
+        assert np.array_equal(tails.view(np.uint64),
+                              want_tails.view(np.uint64))
+        assert np.array_equal(heads.view(np.uint64),
+                              want_heads.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [7, 100])
+    def test_lse_heads_map_whole_blocks(self, d):
+        # more queries of one relation than a block has rows scan one-row
+        # slices; a one-row product sums unlike the block's
+        params = make_params(ModelKind.LSE, n_e=2 * _BLOCK_ROWS + 7, n_r=2,
+                             d=d, seed=d)
+        anchors = np.arange(_BLOCK_ROWS + 1)
+        rels = np.ones(len(anchors), np.int64)
+        heads = all_entity_energies(params, "head", anchors, rels, 1)
+        want = np.stack([all_head_energies(params, 1, a, 1) for a in anchors])
+        assert np.array_equal(heads.view(np.uint64), want.view(np.uint64))
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="side"):
+            all_entity_energies(make_params(ModelKind.LSE_D), "middle",
+                                [0], [0])
 
 
 class TestLemmaDiagnostics:
