@@ -248,6 +248,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# `inspect`'s line per lemma record: the pattern's header, then its
+# residual as a map's or as TransE's translation norm
+_PATTERN_LINES = {
+    "symmetric": ("symmetric {0} (score {score:.2f}):",
+                  " ||r||={residual:.4f} ratio={norm_ratio:.4f}"),
+    "inverse": ("inverse {0} ~ {1} (score {score:.2f}):",
+                " ||r1+r2||={residual:.4f}"),
+    "composition": ("composition {0} o {1} -> {2} (support {support}):",
+                    " ||r1+r2-r3||={residual:.4f}"),
+}
+_MAP_RESIDUAL = " map residual {residual:.4f}"
+
+
 def cmd_inspect(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     train_path = _split_path(args, "train")
@@ -265,31 +278,11 @@ def cmd_inspect(args) -> int:
         s = stats[r]
         print(f"relation {name[r]}: n={s.n_triples} tph={s.tph:.2f} "
               f"hpt={s.hpt:.2f} symmetry={s.symmetry_score:.2f}")
-    for rec in diag["symmetric"]:
-        r = rec["relation"]
-        line = (f"symmetric {name[r]} (score {rec['symmetry_score']:.2f}):")
-        if "residual" in rec:
-            line += f" map residual {rec['residual']:.4f}"
-        if "translation_norm" in rec:
-            line += (f" ||r||={rec['translation_norm']:.4f} "
-                     f"ratio={rec['norm_ratio']:.4f}")
-        print(line)
-    for rec in diag["inverse"]:
-        line = (f"inverse {name[rec['r1']]} ~ {name[rec['r2']]} "
-                f"(score {rec['score']:.2f}):")
-        if "residual" in rec:
-            line += f" map residual {rec['residual']:.4f}"
-        if "translation_sum_norm" in rec:
-            line += f" ||r1+r2||={rec['translation_sum_norm']:.4f}"
-        print(line)
-    for rec in diag["composition"]:
-        line = (f"composition {name[rec['r1']]} o {name[rec['r2']]} -> "
-                f"{name[rec['r3']]} (support {rec['support']}):")
-        if "residual" in rec:
-            line += f" map residual {rec['residual']:.4f}"
-        if "translation_residual_norm" in rec:
-            line += f" ||r1+r2-r3||={rec['translation_residual_norm']:.4f}"
-        print(line)
+    transe = ckpt.kind is ModelKind.TRANSE
+    for pattern, (header, translation) in _PATTERN_LINES.items():
+        line = header + (translation if transe else _MAP_RESIDUAL)
+        for rec in diag[pattern]:
+            print(line.format(*(name[r] for r in rec["relations"]), **rec))
     if not (diag["symmetric"] or diag["inverse"] or diag["composition"]):
         print("no relation patterns detected above thresholds")
     return 0

@@ -544,13 +544,17 @@ def lemma_diagnostics(params: Parameters,
                       ) -> dict[str, list[dict]]:
     """Residuals of the linear-map identities implied by detected patterns.
 
-    For a symmetric relation the learned map should square to the identity;
-    for an inverse pair the two maps should compose to the identity; for a
-    composition triple the chained map should equal the third. Matrix
-    residuals are Frobenius norms normalized by sqrt(d); diagonal residuals
-    are max-abs elementwise. For TransE the report instead carries the
-    translation-norm degeneracy witness ||r|| / mean entity norm and the
-    L2 norms of the composed translations' residuals.
+    Every record holds the pattern's `relations` (a tuple of ids), its
+    `score` (`support` for a composition) and one `residual`. An inverse
+    pair should compose to the identity, R_r1 R_r2 = I, and a composition
+    chain to the third map, R_r1 R_r2 = R_r3; a symmetric relation of a map
+    kind is the inverse pair (r, r). DistMult scores (h, r1, t) and
+    (t, r2, h) alike exactly when r2 = r1, so its inverse identity is
+    R_r2 = R_r1. Matrix residuals are Frobenius norms normalized by
+    sqrt(d); diagonal residuals are max-abs elementwise. TransE residuals
+    are L2 norms of translation sums; a symmetric TransE relation reports
+    ||r||, and ||r|| / mean entity norm as the degeneracy witness
+    `norm_ratio`.
     """
     kind = params.kind
     d = params.d
@@ -572,37 +576,36 @@ def lemma_diagnostics(params: Parameters,
             out = map_heads(params, out, r)
         return out
 
-    def residual(product: np.ndarray, target: np.ndarray) -> float:
+    def record(relations, left, right, **fields) -> dict:
+        # the residual of the identity compose(*left) = compose(*right)
+        diff = compose(*left) - compose(*right)
         if kind is ModelKind.LSE:
-            return float(np.linalg.norm(product - target) / np.sqrt(d))
-        if transe:
-            return float(np.linalg.norm(product - target))
-        return float(np.abs(product - target).max())
+            residual = np.linalg.norm(diff) / np.sqrt(d)
+        elif transe:
+            residual = np.linalg.norm(diff)
+        else:
+            residual = np.abs(diff).max()
+        return {"relations": relations, **fields, "residual": float(residual)}
+
+    def inverse(relations, r1, r2, score) -> dict:
+        if kind is ModelKind.DISTMULT:
+            return record(relations, (r2,), (r1,), score=score)
+        return record(relations, (r1, r2), (), score=score)
 
     for r, rs in sorted(stats.items()):
         if rs.symmetry_score >= symmetry_threshold:
-            rec = {"relation": r, "symmetry_score": rs.symmetry_score}
             if transe:
-                norm = residual(compose(r), identity)
-                rec["translation_norm"] = norm
-                rec["norm_ratio"] = norm / mean_entity_norm
-            elif kind is ModelKind.DISTMULT:
-                rec["residual"] = 0.0  # symmetric by construction
+                rec = record((r,), (r,), (), score=rs.symmetry_score)
+                rec["norm_ratio"] = rec["residual"] / mean_entity_norm
             else:
-                rec["residual"] = residual(compose(r, r), identity)
+                rec = inverse((r,), r, r, rs.symmetry_score)
             report["symmetric"].append(rec)
         for r2, score in rs.inverse_partners:
-            key = "translation_sum_norm" if transe else "residual"
-            report["inverse"].append({
-                "r1": r, "r2": r2, "score": score,
-                key: residual(compose(r, r2), identity)})
+            report["inverse"].append(inverse((r, r2), r, r2, score))
         for r1, r2, r3, support in rs.composition_samples:
-            if support < min_composition_support:
-                continue
-            key = "translation_residual_norm" if transe else "residual"
-            report["composition"].append({
-                "r1": r1, "r2": r2, "r3": r3, "support": support,
-                key: residual(compose(r1, r2), compose(r3))})
+            if support >= min_composition_support:
+                report["composition"].append(
+                    record((r1, r2, r3), (r1, r2), (r3,), support=support))
 
     report["mean_entity_norm"] = mean_entity_norm  # type: ignore[assignment]
     return report

@@ -122,14 +122,17 @@ def _clamped_log(p):
     return np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
-def ce_loss(e_pos, e_negs, gamma: float, k: int | None = None) -> float:
-    """Cross entropy with the negative log-terms down-weighted by 1/k."""
-    e_negs = np.asarray(e_negs, dtype=float)
-    if k is None:
-        k = len(e_negs)
-    pos_term = -_clamped_log(triple_probability(e_pos, gamma))
-    neg_term = -_clamped_log(1.0 - triple_probability(e_negs, gamma)).sum() / k
-    return float(pos_term + neg_term)
+def _ce_terms(p_pos, p_neg):
+    """Cross entropy per positive from the probabilities of positives (B,)
+    and their negatives (B, k), the negatives' log-terms weighted 1/k."""
+    return (-_clamped_log(p_pos)
+            - _clamped_log(1.0 - p_neg).sum(axis=-1) / p_neg.shape[-1])
+
+
+def ce_loss(e_pos, e_negs, gamma: float) -> float:
+    """Cross entropy of one positive energy and its negatives'."""
+    return float(_ce_terms(triple_probability(e_pos, gamma),
+                           triple_probability(e_negs, gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +198,7 @@ def _loss_coefficients(e_pos: np.ndarray, e_neg: np.ndarray,
     else:
         p_pos = triple_probability(e_pos, gamma)
         p_neg = triple_probability(e_neg, gamma)
-        loss = float((-_clamped_log(p_pos)
-                      - _clamped_log(1.0 - p_neg).sum(axis=1) / k).mean())
+        loss = float(_ce_terms(p_pos, p_neg).mean())
         c_pos = (1.0 - p_pos) / b
         c_neg = -p_neg / (b * k)
     return loss, c_pos, c_neg

@@ -393,6 +393,45 @@ class TestLemmaDiagnostics:
                                   symmetry_score=0.95)}
         diag = lemma_diagnostics(params, stats)
         rec = diag["symmetric"][0]
-        assert rec["translation_norm"] == pytest.approx(
+        assert rec["residual"] == pytest.approx(
             np.linalg.norm(params.relation_vectors[0]))
         assert rec["norm_ratio"] > 0
+
+    def test_distmult_inverse_pair_is_an_equal_relation(self):
+        # DistMult scores (h, r1, t) and (t, r2, h) alike when r2 = r1
+        params = init_params(ModelKind.DISTMULT, 6, 2, 4, seed=1)
+        params.relation_vectors[1] = params.relation_vectors[0]
+        for h in range(6):
+            for t in range(6):
+                assert energy(params, h, 0, t) == energy(params, t, 1, h)
+        stats = {0: RelationStats(relation=0, n_triples=4,
+                                  symmetry_score=1.0,
+                                  inverse_partners=[(1, 1.0)])}
+        diag = lemma_diagnostics(params, stats)
+        assert diag["inverse"][0]["residual"] == 0.0
+        assert diag["symmetric"][0]["residual"] == 0.0
+        params.relation_vectors[1, 2] += 0.25
+        diag = lemma_diagnostics(params, stats)
+        assert diag["inverse"][0]["residual"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_record_has_one_shape(self, kind):
+        params = make_params(kind, seed=35)
+        stats = {
+            0: RelationStats(relation=0, n_triples=4, symmetry_score=0.9,
+                             inverse_partners=[(1, 0.85)]),
+            2: RelationStats(relation=2, n_triples=9,
+                             composition_samples=[(0, 1, 2, 9),
+                                                  (1, 1, 2, 4)]),
+        }
+        diag = lemma_diagnostics(params, stats)
+        (sym,), (inv,) = diag["symmetric"], diag["inverse"]
+        (comp,) = diag["composition"]  # support 4 is below the minimum 5
+        ratio = {"norm_ratio"} if kind is ModelKind.TRANSE else set()
+        assert set(sym) == {"relations", "score", "residual"} | ratio
+        assert set(inv) == {"relations", "score", "residual"}
+        assert set(comp) == {"relations", "support", "residual"}
+        assert (sym["relations"], sym["score"]) == ((0,), 0.9)
+        assert (inv["relations"], inv["score"]) == ((0, 1), 0.85)
+        assert (comp["relations"], comp["support"]) == ((0, 1, 2), 9)
+        assert all(type(rec["residual"]) is float for rec in (sym, inv, comp))

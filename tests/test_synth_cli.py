@@ -16,7 +16,9 @@ from lsekg.cli import (_SAMPLER_KEYS, CONFIG_KEYS, _read_config_file,
                        _resolve_train_config, build_parser, main)
 from lsekg.data import build_dataset, detect_patterns, load_split
 from lsekg.synth import generate
-from lsekg.training import CHECKPOINT_MAGIC, load_checkpoint
+from lsekg.models import ModelKind, Parameters
+from lsekg.training import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig,
+                            load_checkpoint, save_checkpoint)
 from test_acceptance import desk_config
 
 
@@ -361,6 +363,83 @@ class TestCliInspect:
         proc = run_cli("inspect", "--checkpoint",
                        str(tmp_path / "no.ckpt"), "--data", str(synth_dir))
         assert proc.returncode == 2
+
+
+# one symmetric relation, one inverse pair (bwd's third edge keeps bwd ~ fwd
+# below the threshold) and one composition r1 o r2 -> r3 of support 5
+INSPECT_TRAIN = (
+    [("s0", "sym", "s1"), ("s1", "sym", "s0"), ("s2", "sym", "s3"),
+     ("s3", "sym", "s2"), ("u0", "fwd", "v0"), ("u1", "fwd", "v1"),
+     ("v0", "bwd", "u0"), ("v1", "bwd", "u1"), ("v2", "bwd", "u2")]
+    + [(f"h{i}", "r1", f"m{i}") for i in range(5)]
+    + [(f"m{i}", "r2", f"t{i}") for i in range(5)]
+    + [(f"h{i}", "r3", f"t{i}") for i in range(5)])
+
+# hand-set relation parameters (d = 2) by relation name, and the pattern
+# lines `inspect` prints for them
+INSPECT_MODELS = {
+    # sym^2 - I = I: 1.0; fwd bwd - I = diag(0, 1): 1/sqrt(2);
+    # r1 r2 - r3 = diag(0, -2): sqrt(2) (r2 r1 - r3 would give 1.0)
+    ModelKind.LSE: (
+        {"sym": [[0, 2], [1, 0]], "fwd": [[2, 0], [0, 2]],
+         "bwd": [[0.5, 0], [0, 1]], "r1": [[1, 1], [0, 1]],
+         "r2": [[1, 0], [1, 1]], "r3": [[2, 1], [1, 3]]},
+        ["symmetric sym (score 1.00): map residual 1.0000",
+         "inverse fwd ~ bwd (score 1.00): map residual 0.7071",
+         "composition r1 o r2 -> r3 (support 5): map residual 1.4142"]),
+    # sym^2 - 1 = (0, 3); fwd bwd - 1 = (0, 1); r1 r2 - r3 = (0, 2)
+    ModelKind.LSE_D: (
+        {"sym": [1, -2], "fwd": [2, 4], "bwd": [0.5, 0.5], "r1": [2, 3],
+         "r2": [1, 2], "r3": [2, 4]},
+        ["symmetric sym (score 1.00): map residual 3.0000",
+         "inverse fwd ~ bwd (score 1.00): map residual 1.0000",
+         "composition r1 o r2 -> r3 (support 5): map residual 2.0000"]),
+    # symmetric by construction; bwd - fwd = (0, 0.5); r1 r2 - r3 = (0, 1)
+    ModelKind.DISTMULT: (
+        {"sym": [1, -2], "fwd": [1, 2], "bwd": [1, 2.5], "r1": [2, 3],
+         "r2": [1, 2], "r3": [2, 5]},
+        ["symmetric sym (score 1.00): map residual 0.0000",
+         "inverse fwd ~ bwd (score 1.00): map residual 0.5000",
+         "composition r1 o r2 -> r3 (support 5): map residual 1.0000"]),
+    # ||sym|| = 5 over a mean entity norm of 2; fwd + bwd = (0, 1);
+    # r1 + r2 - r3 = (0, 2)
+    ModelKind.TRANSE: (
+        {"sym": [3, 4], "fwd": [1, 0], "bwd": [-1, 1], "r1": [1, 1],
+         "r2": [1, 2], "r3": [2, 1]},
+        ["symmetric sym (score 1.00): ||r||=5.0000 ratio=2.5000",
+         "inverse fwd ~ bwd (score 1.00): ||r1+r2||=1.0000",
+         "composition r1 o r2 -> r3 (support 5): ||r1+r2-r3||=2.0000"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(INSPECT_MODELS))
+def test_inspect_prints_every_line(kind, tmp_path, capsys):
+    vocabulary = build_dataset(INSPECT_TRAIN).vocabulary
+    relations, pattern_lines = INSPECT_MODELS[kind]
+    table = np.array([relations[name]
+                      for name in vocabulary.id_to_relation], float)
+    params = Parameters(
+        kind=kind, d=2, entities=np.tile([0.0, 2.0], (vocabulary.n_e, 1)),
+        relation_matrices=table if kind.uses_matrix else None,
+        relation_vectors=None if kind.uses_matrix else table)
+    save_checkpoint(Checkpoint(kind=kind, d=2, n_e=vocabulary.n_e,
+                               n_r=vocabulary.n_r, vocabulary=vocabulary,
+                               params=params, config=TrainConfig(dim=2)),
+                    tmp_path / "model.ckpt")
+    (tmp_path / "train.txt").write_text(
+        "".join("\t".join(triple) + "\n" for triple in INSPECT_TRAIN))
+    assert main(["inspect", "--checkpoint", str(tmp_path / "model.ckpt"),
+                 "--train", str(tmp_path / "train.txt")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"model={kind.value} d=2 step=0",
+        "mean entity norm: 2.0000",
+        "relation sym: n=4 tph=1.00 hpt=1.00 symmetry=1.00",
+        "relation fwd: n=2 tph=1.00 hpt=1.00 symmetry=0.00",
+        "relation bwd: n=3 tph=1.00 hpt=1.00 symmetry=0.00",
+        "relation r1: n=5 tph=1.00 hpt=1.00 symmetry=0.00",
+        "relation r2: n=5 tph=1.00 hpt=1.00 symmetry=0.00",
+        "relation r3: n=5 tph=1.00 hpt=1.00 symmetry=0.00",
+    ] + pattern_lines
 
 
 class TestCliDuplicates:
