@@ -143,26 +143,32 @@ class Metrics:
     filtered_by_side: dict = field(default_factory=dict)
 
 
+def _metrics(raw: np.ndarray, filtered: np.ndarray, by_side: dict,
+             tie_policy: str) -> Metrics:
+    """Metrics of the raw and filtered ranks of every query, in record
+    order, and of each side's: {side: (raw, filtered)}."""
+    if not len(raw):
+        return Metrics(n_queries=0, tie_policy=tie_policy)
+    return Metrics(
+        n_queries=len(raw), tie_policy=tie_policy,
+        raw=MetricBlock.from_ranks(raw),
+        filtered=MetricBlock.from_ranks(filtered),
+        raw_by_side={side: MetricBlock.from_ranks(r)
+                     for side, (r, _) in by_side.items()},
+        filtered_by_side={side: MetricBlock.from_ranks(f)
+                          for side, (_, f) in by_side.items()},
+    )
+
+
 def aggregate(records: list[RankRecord], tie_policy: str = "mean") -> Metrics:
     """Aggregate rank records into overall and per-side metric blocks."""
-    if not records:
-        return Metrics(n_queries=0, tie_policy=tie_policy)
     raw = np.array([r.raw_rank for r in records])
     filt = np.array([r.filtered_rank for r in records])
     sides = np.array([r.side for r in records])
-    raw_by_side = {}
-    filtered_by_side = {}
-    for side in ("head", "tail"):
-        pick = sides == side
-        if pick.any():
-            raw_by_side[side] = MetricBlock.from_ranks(raw[pick])
-            filtered_by_side[side] = MetricBlock.from_ranks(filt[pick])
-    return Metrics(
-        n_queries=len(records), tie_policy=tie_policy,
-        raw=MetricBlock.from_ranks(raw),
-        filtered=MetricBlock.from_ranks(filt),
-        raw_by_side=raw_by_side, filtered_by_side=filtered_by_side,
-    )
+    picks = {side: sides == side for side in ("head", "tail")}
+    return _metrics(raw, filt, {side: (raw[pick], filt[pick])
+                                for side, pick in picks.items()
+                                if pick.any()}, tie_policy)
 
 
 def evaluate(params: Parameters, eval_set,
@@ -219,7 +225,11 @@ def evaluate(params: Parameters, eval_set,
                                                ranks.tolist())
                for side, (raw, filtered) in zip(("tail", "head"),
                                                 triple_ranks)]
-    return aggregate(records, tie_policy), records
+    # tails are side 0 and heads side 1, in `sides` and in each record pair
+    by_side = {"head": (ranks[:, 1, 0], ranks[:, 1, 1]),
+               "tail": (ranks[:, 0, 0], ranks[:, 0, 1])}
+    return _metrics(ranks[..., 0].ravel(), ranks[..., 1].ravel(), by_side,
+                    tie_policy), records
 
 
 def _block_lines(prefix: str, block: MetricBlock) -> list[str]:

@@ -147,10 +147,16 @@ def init_params(kind: ModelKind, n_e: int, n_r: int, d: int,
 _BLOCK_ROWS = 512
 
 # `_segment_sum` adds by sorted slices when the rows have at least this many
-# columns and the ids at least this many rows each on average, and by one
-# `np.bincount` otherwise. On a 2-core VM, 60,000 rows of 11 ids took 17 ms
-# by slices and 31 ms by bincount at d = 100, but 12 and 9 ms at d = 32;
-# at d = 100, 30 rows an id tied.
+# columns and the ids at least this many rows each on average, and by
+# occurrence layers when its layers hold at least this many rows each on
+# average. On a 2-core VM, 60,000 rows of 11 ids took 17 ms by slices and
+# 31 ms by bincount at d = 100, but 12 and 9 ms at d = 32; at d = 100, 30
+# rows an id tied. 1,172 rows of 50 ids at d = 32 (35 layers of 33 rows
+# on average, a `memorize-lse` step) took 0.33 ms by layers and 0.17 ms by
+# bincount, while 66,560 rows of 23,005 ids at d = 100 (105 layers of 634
+# rows, a `wnshape-lse_d` step) took 13 ms by layers and 43 ms by
+# bincount. It must stay above 1: along a single column `sum(axis=0)`
+# adds pairwise.
 _SLICE_MIN = 64
 
 
@@ -354,32 +360,80 @@ def _segment_sum(ids: np.ndarray, rows: np.ndarray,
     per id).
 
     Every sum adds its rows in input order, starting from +0.0, so it is
-    bitwise the one that `np.add.at` into zeros gives. Wide rows whose ids
-    cover many rows each (`_SLICE_MIN`), such as a batch's relations, are
-    summed as slices of the rows stably sorted by id: `sum(axis=0)` adds
-    the rows of a C-ordered (m, d) gather one after another (along a single
-    column it would sum pairwise), and `+= 0.0` turns the -0.0 that a
-    reduction starting from a slice's first row gives for a slice of -0.0
-    into the +0.0 of a sum from zero. Other rows go through one
-    `np.bincount` over (id, column) slots, built in `workspace`, which adds
-    its weights in input order.
+    bitwise the one that `np.add.at` into zeros gives. One sort of the
+    distinct keys id·N + position orders the rows stably by id, then one of
+    three paths adds them:
+
+    - by slices, when the rows have at least `_SLICE_MIN` columns and the
+      ids at least `_SLICE_MIN` rows each on average, as a batch's
+      relations do. `sum(axis=0)` adds the rows of a C-ordered (m, d)
+      gather one after another; along a single column it would sum
+      pairwise.
+    - by occurrence layers, when the layers hold at least `_SLICE_MIN`
+      rows each on average, as a batch's entities do; there are as many
+      layers as the deepest id has rows. Each id starts from its first
+      row; layer j adds the j-th row of every id with more than j rows.
+      With those ids ordered by depth, most rows first, a layer's ids are
+      a prefix, so a layer is one gather into a `workspace` buffer and one
+      add in place. The ids go in blocks of `_BLOCK_ROWS`, so the two
+      buffers stay in cache and keep their size from call to call.
+    - otherwise by one `np.bincount` over (id, column) slots, built in
+      `workspace`, which adds its weights in input order.
+
+    The first two start from each id's first row, and `+= 0.0` turns the
+    -0.0 that this gives for an id of only -0.0 rows into the +0.0 of a sum
+    from zero.
     """
     ws = Workspace() if workspace is None else workspace
     n, d = rows.shape
-    uniq, inv = np.unique(ids, return_inverse=True)
+    if not n:
+        return np.unique(ids), np.zeros((0, d))
+    keys = np.multiply(ids, n, dtype=np.int64)
+    keys += np.arange(n)
+    keys.sort()
+    order = keys % n
+    sorted_ids = ids[order]
+    # where each id's rows start, and where the last one's end
+    bounds = np.ones(n + 1, bool)
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=bounds[1:n])
+    edges = np.flatnonzero(bounds)
+    starts, counts = edges[:-1], np.diff(edges)
+    uniq = sorted_ids[starts]
     if d >= _SLICE_MIN and n >= _SLICE_MIN * len(uniq):
-        order = np.argsort(inv, kind="stable")
-        ends = np.cumsum(np.bincount(inv, minlength=len(uniq))).tolist()
         sums = np.empty((len(uniq), d))
-        for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        edges = edges.tolist()
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
             rows[order[lo:hi]].sum(axis=0, out=sums[i])
-        sums += 0.0
-        return uniq, sums
-    slots = np.add((inv * d)[:, None], np.arange(d),
-                   out=ws.buffer("slots", (n, d), np.intp))
-    sums = np.bincount(slots.ravel(), weights=rows.ravel(),
-                       minlength=len(uniq) * d)
-    return uniq, sums.reshape(len(uniq), d)
+    elif n >= _SLICE_MIN * counts.max():
+        sums = np.take(rows, order[starts], axis=0)
+        # the ids of more than one row, deepest first
+        deep = np.flatnonzero(counts > 1)
+        deep = deep[np.argsort(-counts[deep], kind="stable")]
+        for lo, hi in _blocks(len(deep)):
+            block, depths = deep[lo:hi], counts[deep[lo:hi]]
+            # every index is in range; "clip" writes `out` without a copy
+            acc = np.take(sums, block, axis=0, mode="clip",
+                          out=ws.buffer("layer_sums", (hi - lo, d)))
+            layer = ws.buffer("layer_rows", acc.shape)
+            block_starts = starts[block]
+            # layer j's ids: the first `width` of the block, those deeper
+            # than j
+            widths = np.searchsorted(-depths, -np.arange(1, depths[0]))
+            for j, width in enumerate(widths.tolist(), 1):
+                np.take(rows, order[block_starts[:width] + j], axis=0,
+                        mode="clip", out=layer[:width])
+                acc[:width] += layer[:width]
+            sums[block] = acc
+    else:
+        inv = np.empty(n, np.intp)
+        inv[order] = np.repeat(np.arange(len(uniq)), counts)
+        slots = np.add((inv * d)[:, None], np.arange(d),
+                       out=ws.buffer("slots", (n, d), np.intp))
+        sums = np.bincount(slots.ravel(), weights=rows.ravel(),
+                           minlength=len(uniq) * d)
+        return uniq, sums.reshape(len(uniq), d)
+    sums += 0.0
+    return uniq, sums
 
 
 def energy(params: Parameters, h: int, r: int, t: int, p: int = 1) -> float:

@@ -1,4 +1,4 @@
-"""Sparse-SGD training with margin-ranking or smoothed cross-entropy loss,
+"""Sparse-SGD training with margin-ranking or cross-entropy loss,
 validation-based early stopping, and binary checkpoints.
 
 Only the entity rows and relation parameters touched by a batch are updated;
@@ -161,7 +161,7 @@ def sgd_step(params: Parameters, entity_grads: RowGrads,
     raises `LsekgError`, not numpy's warning. The updated rows are computed
     in blocks of `_BLOCK_ROWS` into the contribution buffers of
     `workspace`, which the backward pass no longer needs once it has
-    summed them."""
+    summed them, with lr * grad in one more block of `workspace`."""
     ws = Workspace() if workspace is None else workspace
     tables = (("entity_contrib", params.entities, entity_grads),
               ("relation_contrib", params.relations, relation_grads))
@@ -171,9 +171,12 @@ def sgd_step(params: Parameters, entity_grads: RowGrads,
         updated.append(rows)
         for lo, hi in _blocks(len(grads)):
             block = rows[lo:hi]
+            step = ws.buffer("update", block.shape)
+            # the ids are in range: "clip" writes `out` without a copy
+            np.take(table, grads.ids[lo:hi], axis=0, mode="clip", out=block)
             with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(table[grads.ids[lo:hi]],
-                            learning_rate * grads.rows[lo:hi], out=block)
+                np.multiply(grads.rows[lo:hi], learning_rate, out=step)
+                block -= step
             # a non-finite gradient, or a finite one that overflows
             if not np.isfinite(block).all():
                 raise LsekgError("non-finite gradient or update; step "

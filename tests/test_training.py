@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,20 +334,26 @@ def test_batch_without_active_rows_has_no_gradients(kind):
         params, triples, coeffs, residual, 1, energies))) == ({}, {})
 
 
-def test_segment_sum_matches_add_at_bitwise():
-    rng = np.random.default_rng(13)
-    ids = rng.integers(0, 40, size=2000)
-    rows = rng.normal(size=(2000, 6))
-    uniq, sums = _segment_sum(ids, rows)
+def assert_sums_as_add_at(ids, rows, workspace=None):
+    """`_segment_sum` of the rows equals `np.add.at` into zeros, bit for
+    bit."""
+    uniq, sums = _segment_sum(ids, rows, workspace)
     ref_ids, inv = np.unique(ids, return_inverse=True)
-    ref = np.zeros((len(ref_ids), 6))
+    ref = np.zeros((len(ref_ids), rows.shape[1]))
     np.add.at(ref, inv, rows)
     assert np.array_equal(uniq, ref_ids)
-    assert np.array_equal(sums, ref)
+    assert sums.shape == ref.shape and sums.dtype == ref.dtype
+    assert np.array_equal(sums.view(np.uint64), ref.view(np.uint64))
+
+
+def test_segment_sum_matches_add_at_bitwise():
+    rng = np.random.default_rng(13)
+    assert_sums_as_add_at(rng.integers(0, 40, size=2000),
+                          rng.normal(size=(2000, 6)))
 
     # unsorted ids with -0.0 rows, an id of only -0.0 rows and ids of one
-    # row, summed by slices (wide rows, few ids) and by bincount (many
-    # ids, or narrow rows)
+    # row, summed by slices (wide rows, few ids), by layers (many ids) and
+    # by bincount (narrow rows of few ids)
     for n_ids, d in ((4, 64), (300, 64), (4, 1)):
         ids = rng.permutation(np.concatenate([
             rng.integers(0, n_ids, size=600), [n_ids + 3, n_ids + 7]]))
@@ -354,12 +361,87 @@ def test_segment_sum_matches_add_at_bitwise():
         rows[rng.random(len(ids)) < 0.2] = -0.0
         rows[ids == ids[0]] = -0.0
         rows[ids == n_ids + 3] = -0.0
-        uniq, sums = _segment_sum(ids, rows)
-        ref_ids, inv = np.unique(ids, return_inverse=True)
-        ref = np.zeros((len(ref_ids), d))
-        np.add.at(ref, inv, rows)
-        assert np.array_equal(uniq, ref_ids)
-        assert np.array_equal(sums.view(np.uint64), ref.view(np.uint64))
+        assert_sums_as_add_at(ids, rows)
+
+
+def segment_sum_path(workspace: Workspace) -> str:
+    """The path a `_segment_sum` call took, told by the buffers it left in
+    its workspace."""
+    return {frozenset(): "slices", frozenset({"slots"}): "bincount",
+            frozenset({"layer_sums", "layer_rows"}): "layers"}[
+        frozenset(workspace._buffers)]
+
+
+def power_law_ids(rng, n_ids: int, n_rows: int) -> np.ndarray:
+    """Ids drawn with weight 1/(i+10)^0.8, as a batch's entities are: many
+    ids of one row, a few deep ones. The deep ids are not the smallest."""
+    weights = 1.0 / (np.arange(n_ids) + 10.0) ** 0.8
+    drawn = rng.choice(n_ids, size=n_rows, p=weights / weights.sum())
+    return rng.permutation(n_ids)[drawn]
+
+
+def test_segment_sum_adds_power_law_ids_by_layers():
+    rng = np.random.default_rng(29)
+    ids = power_law_ids(rng, 5000, 3000)
+    counts = np.bincount(ids)
+    assert (counts == 1).sum() > 500 and counts.max() >= 20
+    rows = rng.normal(size=(len(ids), 8))
+    rows[rng.random(len(ids)) < 0.1] = -0.0
+    # an id of only -0.0 rows, deep enough to be in several layers
+    rows[ids == np.flatnonzero(counts >= 4)[0]] = -0.0
+    rows[rng.choice(len(ids), 12, replace=False)] = np.repeat(
+        [np.inf, -np.inf, np.nan], 4)[:, None]
+    ws = Workspace()
+    assert_sums_as_add_at(ids, rows, ws)
+    assert segment_sum_path(ws) == "layers"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("shape", ["few deep ids", "power law",
+                                   "one id of half the rows"])
+def test_segment_sum_narrow_rows_on_every_path(monkeypatch, shape, d):
+    # with `_SLICE_MIN` at 2, d = 2 rows can take the slice path; d = 1
+    # rows never may, since `sum(axis=0)` adds a single column pairwise
+    monkeypatch.setattr(lsekg.models, "_SLICE_MIN", 2)
+    rng = np.random.default_rng(31)
+    if shape == "few deep ids":
+        ids = rng.integers(0, 4, size=600)
+        path = "slices" if d == 2 else "layers"
+    elif shape == "power law":
+        ids = power_law_ids(rng, 5000, 3000)
+        path = "layers"
+    else:  # layers of fewer than 2 rows on average, ids of 2 rows
+        ids = rng.permutation(np.concatenate([np.zeros(100, int),
+                                              np.arange(1, 100)]))
+        path = "bincount"
+    rows = rng.normal(size=(len(ids), d))
+    rows[rng.random(len(ids)) < 0.1] = -0.0
+    rows[ids == ids[0]] = -0.0
+    ws = Workspace()
+    assert_sums_as_add_at(ids, rows, ws)
+    assert segment_sum_path(ws) == path
+
+
+@pytest.mark.parametrize("d", [1, 64])
+def test_segment_sum_of_no_rows(d):
+    assert_sums_as_add_at(np.zeros(0, np.int64), np.zeros((0, d)))
+
+
+def test_segment_sum_by_layers_builds_no_slot_index():
+    # a slot index alone would be n·d·8 bytes
+    rng = np.random.default_rng(37)
+    n, d = 20_000, 64
+    ids = power_law_ids(rng, 2000, n)
+    rows = rng.normal(size=(n, d))
+    ws = Workspace()
+    tracemalloc.start()
+    try:
+        _segment_sum(ids, rows, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert segment_sum_path(ws) == "layers"
+    assert peak < n * d * 8 / 2
 
 
 def test_active_rows_returns_a_full_batch_uncopied():
