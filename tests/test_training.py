@@ -3,6 +3,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -549,6 +550,37 @@ class TestTrain:
         assert ckpt.params.entities.shape == (ckpt.n_e, ckpt.d)
         assert ckpt.best_valid_mrr is not None
 
+    def test_frees_its_workspace_before_releasing_the_heap(
+            self, tiny_dataset, monkeypatch):
+        """The heap's free pages go back to the OS after the run's
+        workspace is gone: a buffer still alive then keeps its pages."""
+        workspaces, alive = [], []
+
+        class Recorded(Workspace):
+            def __init__(self):
+                super().__init__()
+                workspaces.append(weakref.ref(self))
+
+        monkeypatch.setattr(lsekg.training, "Workspace", Recorded)
+        monkeypatch.setattr(lsekg.training, "_release_free_heap",
+                            lambda: alive.extend(ref() is not None
+                                                 for ref in workspaces))
+        train(tiny_dataset, ModelKind.LSE_D,
+              desk_config(max_steps=3, eval_every=0))
+        assert alive == [False]
+
+    @pytest.mark.parametrize("free,trims", [
+        (0, 0), (lsekg.training._TRIM_MIN_FREE - 1, 0),
+        (lsekg.training._TRIM_MIN_FREE, 1)])
+    def test_releases_the_heap_only_when_much_is_free(self, monkeypatch,
+                                                       free, trims):
+        calls = []
+        monkeypatch.setattr(lsekg.training, "_mallinfo2",
+                            lambda: lsekg.training._MallInfo2(fordblks=free))
+        monkeypatch.setattr(lsekg.training, "_malloc_trim", calls.append)
+        lsekg.training._release_free_heap()
+        assert calls == [0] * trims
+
     def test_nonfinite_gradient_returns_last_good(self, tiny_dataset,
                                                   monkeypatch):
         config = desk_config(max_steps=10, eval_every=0)
@@ -646,6 +678,36 @@ class TestCheckpointIO:
             r = rng.integers(0, ckpt.n_r)
             assert energy(ckpt.params, h, r, t) == energy(loaded.params,
                                                           h, r, t)
+
+    def test_tables_are_written_as_little_endian_float64(self, tmp_path):
+        ckpt = small_checkpoint()
+        _, arrays = split_checkpoint(checkpoint_bytes(tmp_path, ckpt))
+        assert arrays == b"".join(table.astype("<f8").tobytes() for table in
+                                  (ckpt.params.entities,
+                                   ckpt.params.relations))
+
+    @pytest.mark.parametrize("kind", [ModelKind.LSE, ModelKind.LSE_D])
+    def test_empty_tables_round_trip(self, kind, tmp_path):
+        """Tables with no rows are written and read back with their
+        shapes."""
+        d = 2
+        rel_shape = (0, d, d) if kind.uses_matrix else (0, d)
+        rel_field = ("relation_matrices" if kind.uses_matrix
+                     else "relation_vectors")
+        params = lsekg.models.Parameters(kind=kind, d=d,
+                                         entities=np.zeros((0, d)),
+                                         **{rel_field: np.zeros(rel_shape)})
+        ckpt = Checkpoint(kind=kind, d=d, n_e=0, n_r=0,
+                          vocabulary=Vocabulary(entity_to_id={},
+                                                id_to_entity=(),
+                                                relation_to_id={},
+                                                id_to_relation=()),
+                          params=params, config=TrainConfig(dim=d))
+        path = tmp_path / "empty.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert loaded.params.entities.shape == (0, d)
+        assert loaded.params.relations.shape == rel_shape
 
     def test_truncated_file_rejected(self, tiny_dataset, tmp_path):
         ckpt = train(tiny_dataset, ModelKind.LSE_D,
@@ -816,6 +878,15 @@ class TestCheckpointFuzz:
     def test_huge_metadata_length_rejected(self, tmp_path):
         path = tmp_path / "long.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", 2**64 - 1))
+        with pytest.raises(ConsistencyError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_huge_table_size_rejected_before_allocating(self, tmp_path):
+        meta, arrays = split_checkpoint(
+            checkpoint_bytes(tmp_path, small_checkpoint()))
+        meta["d"] = meta["config"]["dim"] = 2**40
+        path = tmp_path / "wide.ckpt"
+        path.write_bytes(join_checkpoint(meta, arrays))
         with pytest.raises(ConsistencyError, match="truncated"):
             load_checkpoint(path)
 
