@@ -24,7 +24,7 @@ from lsekg.evaluation import TIE_POLICIES, aggregate, evaluate, report
 from lsekg.models import ModelKind, lemma_diagnostics
 from lsekg.sampling import SamplerConfig
 from lsekg.synth import PATTERNS, generate
-from lsekg.training import (NORMS, Checkpoint, TrainConfig,
+from lsekg.training import (NORMS, TrainConfig,
                             load_checkpoint, save_checkpoint, train)
 
 OUTPUT_DIR_ENV = "LSEKG_OUT"
@@ -269,16 +269,17 @@ def cmd_inspect(args) -> int:
     train_set = encode_split(ckpt.vocabulary, load_split(train_path),
                              "train")
     stats = detect_patterns(train_set)
-    diag = lemma_diagnostics(ckpt.params, stats)
+    params = ckpt.params
+    diag = lemma_diagnostics(params, stats)
 
-    print(f"model={ckpt.kind.value} d={ckpt.d} step={ckpt.step}")
+    print(f"model={params.kind.value} d={params.d} step={ckpt.step}")
     print(f"mean entity norm: {diag['mean_entity_norm']:.4f}")
     name = ckpt.vocabulary.id_to_relation
     for r in sorted(stats):
         s = stats[r]
         print(f"relation {name[r]}: n={s.n_triples} tph={s.tph:.2f} "
               f"hpt={s.hpt:.2f} symmetry={s.symmetry_score:.2f}")
-    transe = ckpt.kind is ModelKind.TRANSE
+    transe = params.kind is ModelKind.TRANSE
     for pattern, (header, translation) in _PATTERN_LINES.items():
         line = header + (translation if transe else _MAP_RESIDUAL)
         for rec in diag[pattern]:

@@ -209,7 +209,7 @@ def evaluate(params: Parameters, eval_set,
                 f"triple {tuple(ids[at].tolist())}, outside the model "
                 f"vocabulary (n_e={n_e})")
     ranks = np.empty((len(ids), 2, 2))  # triple, side, raw | filtered
-    chunk = max(1, _CHUNK_ENERGIES // n_e)
+    chunk = max(1, _CHUNK_ENERGIES // max(n_e, 1))
     for lo in range(0, len(ids), chunk):
         hi = min(lo + chunk, len(ids))
         for i, (side, anchors, truths, (query, known)) in enumerate(sides):

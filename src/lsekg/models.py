@@ -47,17 +47,23 @@ class ModelKind(str, Enum):
 
 @dataclass
 class Parameters:
+    """A model's tables. `relations` holds one relation map per row: a
+    (d, d) matrix for LSE, a (d,) vector for the other kinds. The sizes are
+    read from the tables."""
+
     kind: ModelKind
-    d: int
-    entities: np.ndarray                       # (n_e, d)
-    relation_vectors: np.ndarray | None = None   # (n_r, d)
-    relation_matrices: np.ndarray | None = None  # (n_r, d, d), LSE only
+    entities: np.ndarray   # (n_e, d)
+    relations: np.ndarray  # (n_r, d, d) for LSE, else (n_r, d)
+
+    def __post_init__(self):
+        if self.relations.shape[1:] != (self.d,) * (1 + self.kind.uses_matrix):
+            raise ConsistencyError(
+                f"{self.kind.value} tables of shapes {self.entities.shape} "
+                f"and {self.relations.shape} do not fit together")
 
     @property
-    def relations(self) -> np.ndarray:
-        """The relation table of the kind: matrices for LSE, else vectors."""
-        return (self.relation_matrices if self.kind.uses_matrix
-                else self.relation_vectors)
+    def d(self) -> int:
+        return self.entities.shape[1]
 
     @property
     def n_e(self) -> int:
@@ -67,14 +73,19 @@ class Parameters:
     def n_r(self) -> int:
         return self.relations.shape[0]
 
+    @property
+    def relation_vectors(self) -> np.ndarray | None:
+        """The relation table of a vector kind; None for LSE."""
+        return None if self.kind.uses_matrix else self.relations
+
+    @property
+    def relation_matrices(self) -> np.ndarray | None:
+        """The relation table of LSE; None for the other kinds."""
+        return self.relations if self.kind.uses_matrix else None
+
     def copy(self) -> "Parameters":
-        return Parameters(
-            kind=self.kind, d=self.d, entities=self.entities.copy(),
-            relation_vectors=None if self.relation_vectors is None
-            else self.relation_vectors.copy(),
-            relation_matrices=None if self.relation_matrices is None
-            else self.relation_matrices.copy(),
-        )
+        return dataclasses.replace(self, entities=self.entities.copy(),
+                                   relations=self.relations.copy())
 
 
 @dataclass
@@ -116,20 +127,18 @@ def init_params(kind: ModelKind, n_e: int, n_r: int, d: int,
     kind = ModelKind(kind)
     bound = 6.0 / np.sqrt(d)
     entities = rng.uniform(-bound, bound, size=(n_e, d))
-    vectors = matrices = None
     if kind is ModelKind.LSE:
         noise = rng.uniform(-0.1 / np.sqrt(d), 0.1 / np.sqrt(d),
                             size=(n_r, d, d))
-        matrices = np.eye(d)[None, :, :] + noise
+        relations = np.eye(d)[None, :, :] + noise
     elif kind is ModelKind.LSE_D:
-        vectors = rng.uniform(1.0 - bound * 0.1, 1.0 + bound * 0.1,
-                              size=(n_r, d))
+        relations = rng.uniform(1.0 - bound * 0.1, 1.0 + bound * 0.1,
+                                size=(n_r, d))
     else:
-        vectors = rng.uniform(-bound, bound, size=(n_r, d))
+        relations = rng.uniform(-bound, bound, size=(n_r, d))
         if kind is ModelKind.TRANSE:
-            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return Parameters(kind=kind, d=d, entities=entities,
-                      relation_vectors=vectors, relation_matrices=matrices)
+            relations /= np.linalg.norm(relations, axis=1, keepdims=True)
+    return Parameters(kind=kind, entities=entities, relations=relations)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +217,8 @@ def map_heads(params: Parameters, rows: np.ndarray, rels, ids=None,
             rows = rows[ids]
             if out is None:  # map the fresh gather in place
                 out = rows
-        return op(rows, params.relation_vectors[rels], out=out)
-    mats = params.relation_matrices
+        return op(rows, params.relations[rels], out=out)
+    mats = params.relations
     if ids is None:
         return np.matmul(rows, mats[rels], out=out)
     # a matrix map costs d products per element, and a batch's negatives
@@ -260,7 +269,7 @@ def _batch_energies(params: Parameters, triples: np.ndarray, p: int,
             # (h * t) * r keeps the energy bitwise symmetric under h <-> t
             prod = np.multiply(ents[heads[lo:hi]], ents[tails[lo:hi]],
                                out=block[:hi - lo])
-            prod *= params.relation_vectors[rels[lo:hi]]
+            prod *= params.relations[rels[lo:hi]]
             prod.sum(axis=1, out=energies[lo:hi])
         return np.negative(energies, out=energies), None
     residual = ws.buffer("residual", (n, d))
@@ -292,7 +301,7 @@ def _batch_gradients(params: Parameters, triples: np.ndarray,
     ws = Workspace() if workspace is None else workspace
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
     kind = params.kind
-    ents, vecs = params.entities, params.relation_vectors
+    ents, table = params.entities, params.relations
     n, d = len(triples), params.d
     # the head rows' contributions, then the tail rows'
     ent_contrib = ws.buffer("entity_contrib", (2 * n, d))
@@ -306,7 +315,7 @@ def _batch_gradients(params: Parameters, triples: np.ndarray,
         gh, gt = g_head[lo:hi], g_tail[lo:hi]
         if kind is ModelKind.DISTMULT:
             h_rows, t_rows = ents[heads[lo:hi]], ents[tails[lo:hi]]
-            r_rows = vecs[rels[lo:hi]]
+            r_rows = table[rels[lo:hi]]
             gr = g_rel[lo:hi]
             np.negative(np.multiply(r_rows, t_rows, out=gh), out=gh)
             np.negative(np.multiply(h_rows, r_rows, out=gt), out=gt)
@@ -328,7 +337,7 @@ def _batch_gradients(params: Parameters, triples: np.ndarray,
         np.negative(s, out=gt)
         gt *= c
         if kind is ModelKind.LSE_D:
-            np.multiply(s, vecs[rels[lo:hi]], out=gh)
+            np.multiply(s, table[rels[lo:hi]], out=gh)
             gh *= c
             gr = np.multiply(s, ents[heads[lo:hi]], out=g_rel[lo:hi])
             gr *= c
@@ -343,7 +352,7 @@ def _batch_gradients(params: Parameters, triples: np.ndarray,
             sel = rels == r
             s = g_head[sel]
             acc_r[i] = ents[heads[sel]].T @ (coeffs[sel, None] * s)
-            g_head[sel] = s @ params.relation_matrices[r].T
+            g_head[sel] = s @ table[r].T
         g_head *= coeffs[:, None]
         relation_grads = RowGrads(uniq_r, acc_r)
     else:
@@ -467,11 +476,10 @@ def _slice_rows(n_queries: int) -> int:
     return max(1, _BLOCK_ROWS // n_queries)
 
 
-def _scan_entities(params: Parameters, fill, p: int,
-                   n_queries: int | None = None, map_block=None) -> np.ndarray:
+def _scan_entities(params: Parameters, fill, p: int, n_queries: int,
+                   map_block=None) -> np.ndarray:
     """The p-norm of one residual row per (query, entity) pair, computed
-    block by block: an (n_queries, n_e) array, or an (n_e,) array for a
-    single query (`n_queries` None).
+    block by block: an (n_queries, n_e) array.
 
     `fill(rows, out)` writes the residuals of a slice of entity rows into
     `out`, a view of one buffer that every slice reuses. The slices hold
@@ -479,19 +487,14 @@ def _scan_entities(params: Parameters, fill, p: int,
     query's residual rows laid end to end, so that numpy loops along a
     query's whole slice: a broadcast over (n_queries, rows, d) loops along
     rows of d, which took 1.4 to 1.9 times as long at d = 48 and 100 on a
-    2-core VM. A single query's `fill` gets `out` as (rows, d). With
-    `map_block`, each block of `_BLOCK_ROWS` entity rows goes through
-    `map_block(rows)` first, and `fill` sees slices along the
+    2-core VM. With `map_block`, each block of `_BLOCK_ROWS` entity rows
+    goes through `map_block(rows)` first, and `fill` sees slices along the
     second-to-last axis of what it returns. Each row is still summed whole,
     so the energies are bitwise those of an unblocked pass with the same
     residuals.
     """
     ents = params.entities
     n_e, d = ents.shape
-    if n_queries is None:
-        return _scan_entities(
-            params, lambda rows, out: fill(rows, out.reshape(-1, d)), p, 1,
-            map_block)[0]
     step = _slice_rows(n_queries)
     energies = np.empty((n_queries, n_e))
     buf = np.empty((n_queries, min(step, n_e) * d))
@@ -548,7 +551,7 @@ def all_entity_energies(params: Parameters, side: str, anchors, rels,
     if side == "tail":
         if kind is ModelKind.LSE:
             mapped = np.matmul(ents[anchors][:, None, :],
-                               params.relation_matrices[rels[0]])[:, 0]
+                               params.relations[rels[0]])[:, 0]
         else:
             mapped = map_heads(params, ents, rels, anchors)
         # each query's row repeated along a slice of entity rows
@@ -561,7 +564,7 @@ def all_entity_energies(params: Parameters, side: str, anchors, rels,
     tails = np.tile(ents[anchors], step)
     if kind is not ModelKind.LSE:
         op = _vector_op(kind)
-        vecs = np.tile(params.relation_vectors[rels], step)
+        vecs = np.tile(params.relations[rels], step)
 
         def fill(rows, out):
             op(rows.reshape(-1), vecs[:, :out.shape[1]], out=out)
@@ -612,8 +615,10 @@ def lemma_diagnostics(params: Parameters,
     """
     kind = params.kind
     d = params.d
+    # the mean of no entities is NaN, without numpy's empty-slice warning
     mean_entity_norm = float(
-        np.linalg.norm(params.entities, axis=1).mean())
+        np.linalg.norm(params.entities, axis=1).mean() if params.n_e
+        else np.nan)
     report: dict[str, list[dict]] = {
         "symmetric": [], "inverse": [], "composition": [],
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -180,8 +181,7 @@ def sgd_step(params: Parameters, entity_grads: RowGrads,
                 block -= step
             # a non-finite gradient, or a finite one that overflows
             if not np.isfinite(block).all():
-                raise LsekgError("non-finite gradient or update; step "
-                                 "aborted")
+                raise LsekgError("non-finite gradient or update")
     for (_, table, grads), rows in zip(tables, updated):
         table[grads.ids] = rows
 
@@ -210,16 +210,14 @@ def _loss_coefficients(e_pos: np.ndarray, e_neg: np.ndarray,
 
 @dataclass
 class Checkpoint:
-    kind: ModelKind
-    d: int
-    n_e: int
-    n_r: int
+    """A model and what only the run knows of it; the kind and sizes are
+    the parameters'."""
+
     vocabulary: Vocabulary
     params: Parameters
     config: TrainConfig
     step: int = 0
     best_valid_mrr: float | None = None
-    version: int = CHECKPOINT_VERSION
 
 
 class _MallInfo2(ctypes.Structure):
@@ -300,14 +298,19 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                     if len(dataset.valid) else None)
     shuffle_rng = substream(config.seed, "shuffle")
 
-    batch_size = min(config.batch_size, n) if n else 0
+    batch_size = min(config.batch_size, n)
+
+    def batches():
+        """Minibatches of reshuffled epochs, none from an empty split."""
+        while n:
+            order = shuffle_rng.permutation(n)
+            for start in range(0, n, batch_size):
+                yield dataset.train[order[start:start + batch_size]]
 
     def snapshot(step: int, mrr: float | None,
                  copy: bool = True) -> Checkpoint:
-        return Checkpoint(kind=kind, d=config.dim, n_e=vocab.n_e,
-                          n_r=vocab.n_r, vocabulary=vocab,
-                          params=params.copy() if copy else params,
-                          config=config, step=step, best_valid_mrr=mrr)
+        return Checkpoint(vocab, params.copy() if copy else params, config,
+                          step, mrr)
 
     workspace = Workspace()
     # only a run that evaluates can return its step-0 parameters
@@ -316,27 +319,19 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
     evaluated = False
     bad_rounds = 0
     step = 0
-    diverged = False
 
-    while step < config.max_steps and n:
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            if step >= config.max_steps:
-                break
-            pos = dataset.train[order[start:start + batch_size]]
-            neg = sampler.corrupt_batch(pos)
-            b, k = neg.shape[:2]
-            flat = np.concatenate([pos, neg.reshape(-1, 3)])
-            with np.errstate(over="ignore", invalid="ignore"):
-                energies, residual = _batch_energies(params, flat, config.p,
-                                                     workspace)
-                loss, c_pos, c_neg = _loss_coefficients(
-                    energies[:b], energies[b:].reshape(b, k), config)
+    for pos in itertools.islice(batches(), config.max_steps):
+        neg = sampler.corrupt_batch(pos)
+        b, k = neg.shape[:2]
+        flat = np.concatenate([pos, neg.reshape(-1, 3)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies, residual = _batch_energies(params, flat, config.p,
+                                                 workspace)
+            loss, c_pos, c_neg = _loss_coefficients(
+                energies[:b], energies[b:].reshape(b, k), config)
+        try:
             if not np.isfinite(loss):
-                warnings.warn(f"training diverged at step {step}; "
-                              "returning last good checkpoint")
-                diverged = True
-                break
+                raise LsekgError("training diverged")
             coeffs = np.concatenate([c_pos, c_neg.ravel()])
             triples, coeffs, residual, energies = _active_rows(
                 flat, coeffs, residual, energies)
@@ -345,41 +340,36 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                 ent_g, rel_g = _batch_gradients(params, triples, coeffs,
                                                 residual, config.p, energies,
                                                 workspace)
-            try:
-                sgd_step(params, ent_g, rel_g, config.learning_rate,
-                         workspace)
-            except LsekgError:  # a non-finite update; nothing applied
-                warnings.warn(f"non-finite gradient or update at step "
-                              f"{step}; returning last good checkpoint")
-                diverged = True
-                break
-            if config.normalize_entities and kind is ModelKind.TRANSE:
-                rows = np.unique(flat[:, [0, 2]])
-                norms = np.linalg.norm(params.entities[rows], axis=1,
-                                       keepdims=True)
-                params.entities[rows] /= np.maximum(norms, 1e-12)
-            step += 1
-
-            if config.eval_every and step % config.eval_every == 0:
-                if len(dataset.valid):
-                    metrics, _ = evaluate(params, dataset.valid, valid_filter,
-                                          config.p)
-                    mrr = metrics.filtered.mrr
-                    evaluated = True
-                    if mrr > best_mrr:
-                        best_mrr = mrr
-                        best = snapshot(step, mrr)
-                        bad_rounds = 0
-                    else:
-                        bad_rounds += 1
-                else:
-                    mrr = None
-                if log is not None:
-                    log({"step": step, "loss": loss, "valid_mrr": mrr})
-                if evaluated and bad_rounds >= config.patience:
-                    return best
-        if diverged:
+            sgd_step(params, ent_g, rel_g, config.learning_rate, workspace)
+        except LsekgError as exc:  # nothing applied
+            warnings.warn(f"{exc} at step {step}; returning last good "
+                          "checkpoint")
             break
+        if config.normalize_entities and kind is ModelKind.TRANSE:
+            rows = np.unique(flat[:, [0, 2]])
+            norms = np.linalg.norm(params.entities[rows], axis=1,
+                                   keepdims=True)
+            params.entities[rows] /= np.maximum(norms, 1e-12)
+        step += 1
+
+        if config.eval_every and step % config.eval_every == 0:
+            if len(dataset.valid):
+                metrics, _ = evaluate(params, dataset.valid, valid_filter,
+                                      config.p)
+                mrr = metrics.filtered.mrr
+                evaluated = True
+                if mrr > best_mrr:
+                    best_mrr = mrr
+                    best = snapshot(step, mrr)
+                    bad_rounds = 0
+                else:
+                    bad_rounds += 1
+            else:
+                mrr = None
+            if log is not None:
+                log({"step": step, "loss": loss, "valid_mrr": mrr})
+            if evaluated and bad_rounds >= config.patience:
+                return best
 
     if not evaluated:
         # params are last-good: a diverging step is never applied. Nothing
@@ -395,22 +385,27 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary format: magic, length-prefixed JSON metadata, then the
     parameter arrays as little-endian float64, entities first."""
+    params, vocab = ckpt.params, ckpt.vocabulary
+    # a file that `load_checkpoint` would reject is not written
+    if (vocab.n_e, vocab.n_r, ckpt.config.dim) != (params.n_e, params.n_r,
+                                                   params.d):
+        raise ConsistencyError("checkpoint vocabulary or config dim does not "
+                               "fit its tables")
     meta = {
-        "version": ckpt.version,
-        "kind": ckpt.kind.value,
-        "d": ckpt.d,
-        "n_e": ckpt.n_e,
-        "n_r": ckpt.n_r,
+        "version": CHECKPOINT_VERSION,
+        "kind": params.kind.value,
+        "d": params.d,
+        "n_e": params.n_e,
+        "n_r": params.n_r,
         "step": ckpt.step,
         "best_valid_mrr": ckpt.best_valid_mrr,
         "config": ckpt.config.to_dict(),
         "vocabulary": {
-            "entities": list(ckpt.vocabulary.id_to_entity),
-            "relations": list(ckpt.vocabulary.id_to_relation),
+            "entities": list(vocab.id_to_entity),
+            "relations": list(vocab.id_to_relation),
         },
     }
     blob = json.dumps(meta).encode("utf-8")
-    params = ckpt.params
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
@@ -514,10 +509,6 @@ def load_checkpoint(path) -> Checkpoint:
         entity_to_id=entity_to_id, id_to_entity=tuple(entity_to_id),
         relation_to_id=relation_to_id, id_to_relation=tuple(relation_to_id),
     )
-    rel_field = ("relation_matrices" if kind.uses_matrix
-                 else "relation_vectors")
-    params = Parameters(kind=kind, d=d, entities=entities, **{rel_field: rel})
-    return Checkpoint(kind=kind, d=d, n_e=n_e, n_r=n_r,
-                      vocabulary=vocabulary, params=params,
-                      config=config, step=step,
-                      best_valid_mrr=best_valid_mrr)
+    return Checkpoint(vocabulary=vocabulary,
+                      params=Parameters(kind, entities, rel), config=config,
+                      step=step, best_valid_mrr=best_valid_mrr)

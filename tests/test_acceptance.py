@@ -107,14 +107,14 @@ def test_criterion_2_reduction_identities():
         t_row = rng.normal(size=d)
         r_vec = rng.normal(size=d)
         entities = np.stack([h_row, t_row])
-        diag = Parameters(kind=ModelKind.LSE_D, d=d, entities=entities,
-                          relation_vectors=r_vec[None, :])
-        full = Parameters(kind=ModelKind.LSE, d=d, entities=entities,
-                          relation_matrices=np.diag(r_vec)[None, :, :])
-        ident = Parameters(kind=ModelKind.LSE, d=d, entities=entities,
-                           relation_matrices=np.eye(d)[None, :, :])
-        dist = Parameters(kind=ModelKind.DISTMULT, d=d, entities=entities,
-                          relation_vectors=r_vec[None, :])
+        diag = Parameters(kind=ModelKind.LSE_D, entities=entities,
+                          relations=r_vec[None, :])
+        full = Parameters(kind=ModelKind.LSE, entities=entities,
+                          relations=np.diag(r_vec)[None, :, :])
+        ident = Parameters(kind=ModelKind.LSE, entities=entities,
+                           relations=np.eye(d)[None, :, :])
+        dist = Parameters(kind=ModelKind.DISTMULT, entities=entities,
+                          relations=r_vec[None, :])
         for p in (1, 2):
             worst_diag = max(worst_diag,
                              abs(energy(full, 0, 0, 1, p)

@@ -226,10 +226,7 @@ class TestChunkedEvaluate:
         eval_set = triples[:23]
         if model == "tied":
             # a zero relation and repeated rows tie whole candidate sets
-            if kind.uses_matrix:
-                params.relation_matrices[1] = 0.0
-            else:
-                params.relation_vectors[1] = 0.0
+            params.relations[1] = 0.0
             params.entities[::4] = params.entities[0]
         elif model == "nan":
             params.entities[[3, 17]] = np.nan

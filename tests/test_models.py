@@ -19,13 +19,9 @@ DISTANCE_KINDS = [ModelKind.LSE, ModelKind.LSE_D, ModelKind.TRANSE]
 def make_params(kind, n_e=6, n_r=3, d=8, seed=0):
     rng = np.random.default_rng(seed)
     entities = rng.normal(size=(n_e, d))
-    vectors = matrices = None
-    if ModelKind(kind).uses_matrix:
-        matrices = rng.normal(size=(n_r, d, d))
-    else:
-        vectors = rng.normal(size=(n_r, d))
-    return Parameters(kind=ModelKind(kind), d=d, entities=entities,
-                      relation_vectors=vectors, relation_matrices=matrices)
+    kind = ModelKind(kind)
+    relations = rng.normal(size=(n_r, d, d) if kind.uses_matrix else (n_r, d))
+    return Parameters(kind=kind, entities=entities, relations=relations)
 
 
 class TestInit:
@@ -34,10 +30,7 @@ class TestInit:
         a = init_params(kind, 10, 4, 16, seed=5)
         b = init_params(kind, 10, 4, 16, seed=5)
         assert np.array_equal(a.entities, b.entities)
-        if kind.uses_matrix:
-            assert np.array_equal(a.relation_matrices, b.relation_matrices)
-        else:
-            assert np.array_equal(a.relation_vectors, b.relation_vectors)
+        assert np.array_equal(a.relations, b.relations)
 
     def test_different_seeds_differ(self):
         a = init_params(ModelKind.TRANSE, 10, 4, 16, seed=5)
@@ -72,9 +65,9 @@ class TestInit:
 
 class TestEnergy:
     def test_lse_d_hand_example(self):
-        p = Parameters(kind=ModelKind.LSE_D, d=2,
+        p = Parameters(kind=ModelKind.LSE_D,
                        entities=np.array([[1.0, 2.0], [2.0, 0.0]]),
-                       relation_vectors=np.array([[3.0, -1.0]]))
+                       relations=np.array([[3.0, -1.0]]))
         # |1*3 - 2| + |2*(-1) - 0| = 3
         assert energy(p, 0, 0, 1, p=1) == pytest.approx(3.0)
 
@@ -85,9 +78,9 @@ class TestEnergy:
         assert energy(p, 2, 0, 2, p=2) == 0.0
 
     def test_distmult_hand_example(self):
-        p = Parameters(kind=ModelKind.DISTMULT, d=2,
+        p = Parameters(kind=ModelKind.DISTMULT,
                        entities=np.array([[1.0, 0.0], [3.0, 4.0]]),
-                       relation_vectors=np.array([[2.0, 5.0]]))
+                       relations=np.array([[2.0, 5.0]]))
         assert energy(p, 0, 0, 1) == pytest.approx(-6.0)
 
     @pytest.mark.parametrize("p_norm", [1, 2])
@@ -96,9 +89,8 @@ class TestEnergy:
         d = 8
         diag = make_params(ModelKind.LSE_D, d=d, seed=3)
         full = Parameters(
-            kind=ModelKind.LSE, d=d, entities=diag.entities,
-            relation_matrices=np.stack([np.diag(v)
-                                        for v in diag.relation_vectors]))
+            kind=ModelKind.LSE, entities=diag.entities,
+            relations=np.stack([np.diag(v) for v in diag.relations]))
         for _ in range(50):
             h, t = rng.integers(0, diag.n_e, size=2)
             r = rng.integers(0, 3)
@@ -132,9 +124,9 @@ class TestEnergy:
                 assert energy(params, h, 1, t) == energy(params, t, 1, h)
 
     def test_lse_d_asymmetry_witness(self):
-        p = Parameters(kind=ModelKind.LSE_D, d=1,
+        p = Parameters(kind=ModelKind.LSE_D,
                        entities=np.array([[1.0], [3.0]]),
-                       relation_vectors=np.array([[2.0]]))
+                       relations=np.array([[2.0]]))
         assert energy(p, 0, 0, 1) != energy(p, 1, 0, 0)
 
 
@@ -156,17 +148,15 @@ def finite_difference(params, h, r, t, p_norm, step=1e-6):
 
     d_head = fd(params.entities[h])
     d_tail = fd(params.entities[t])
-    rel = (params.relation_matrices[r] if params.kind.uses_matrix
-           else params.relation_vectors[r])
-    d_rel = fd(rel)
+    d_rel = fd(params.relations[r])
     return d_head, d_tail, d_rel
 
 
 class TestGradients:
     def test_lse_d_hand_example(self):
-        p = Parameters(kind=ModelKind.LSE_D, d=2,
+        p = Parameters(kind=ModelKind.LSE_D,
                        entities=np.array([[1.0, 2.0], [2.0, 0.0]]),
-                       relation_vectors=np.array([[3.0, -1.0]]))
+                       relations=np.array([[3.0, -1.0]]))
         g = energy_gradients(p, 0, 0, 1, p=1)
         np.testing.assert_allclose(g.d_head, [3.0, 1.0])
         np.testing.assert_allclose(g.d_relation, [1.0, -2.0])
@@ -292,15 +282,15 @@ class TestBatchedKernels:
         mapped = map_heads(params, ents[h], r)
 
         def fill(rows, out):
-            map_heads(params, rows, r, out=out)
+            out = map_heads(params, rows, r, out=out.reshape(-1, 40))
             out -= ents[t]
 
         assert np.array_equal(
             all_tail_energies(params, h, r, p_norm),
             _scan_entities(params, lambda rows, out: np.subtract(
-                mapped, rows, out=out), p_norm))
+                mapped, rows, out=out.reshape(-1, 40)), p_norm, 1)[0])
         assert np.array_equal(all_head_energies(params, r, t, p_norm),
-                              _scan_entities(params, fill, p_norm))
+                              _scan_entities(params, fill, p_norm, 1)[0])
 
     def test_lse_d_self_hit(self):
         params = make_params(ModelKind.LSE_D, seed=23)

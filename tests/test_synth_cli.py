@@ -210,14 +210,14 @@ class TestCliTrain:
         out, proc = trained_dir
         ckpt = load_checkpoint(out / "lse_d.ckpt")
         n_e, d = ckpt.params.entities.shape
-        total = n_e * d + ckpt.n_r * d
+        total = n_e * d + ckpt.params.n_r * d
         assert f"total={total}" in proc.stdout
 
     def test_checkpoint_loads_and_matches_request(self, trained_dir):
         out, _ = trained_dir
         ckpt = load_checkpoint(out / "lse_d.ckpt")
-        assert ckpt.kind.value == "lse_d"
-        assert ckpt.d == 32  # desk profile dimension
+        assert ckpt.params.kind.value == "lse_d"
+        assert ckpt.params.d == 32  # desk profile dimension
         assert ckpt.config.max_steps == 200  # flag beats profile
 
     def test_missing_data_dir_exit_2(self, tmp_path):
@@ -419,12 +419,10 @@ def test_inspect_prints_every_line(kind, tmp_path, capsys):
     table = np.array([relations[name]
                       for name in vocabulary.id_to_relation], float)
     params = Parameters(
-        kind=kind, d=2, entities=np.tile([0.0, 2.0], (vocabulary.n_e, 1)),
-        relation_matrices=table if kind.uses_matrix else None,
-        relation_vectors=None if kind.uses_matrix else table)
-    save_checkpoint(Checkpoint(kind=kind, d=2, n_e=vocabulary.n_e,
-                               n_r=vocabulary.n_r, vocabulary=vocabulary,
-                               params=params, config=TrainConfig(dim=2)),
+        kind=kind, entities=np.tile([0.0, 2.0], (vocabulary.n_e, 1)),
+        relations=table)
+    save_checkpoint(Checkpoint(vocabulary=vocabulary, params=params,
+                               config=TrainConfig(dim=2)),
                     tmp_path / "model.ckpt")
     (tmp_path / "train.txt").write_text(
         "".join("\t".join(triple) + "\n" for triple in INSPECT_TRAIN))
@@ -440,6 +438,48 @@ def test_inspect_prints_every_line(kind, tmp_path, capsys):
         "relation r2: n=5 tph=1.00 hpt=1.00 symmetry=0.00",
         "relation r3: n=5 tph=1.00 hpt=1.00 symmetry=0.00",
     ] + pattern_lines
+
+
+@pytest.fixture
+def empty_model(tmp_path, request):
+    """A checkpoint with no entities and no relations, in a directory of
+    empty splits."""
+    kind = request.param
+    params = Parameters(kind, np.zeros((0, 2)),
+                        np.zeros((0, 2, 2) if kind.uses_matrix else (0, 2)))
+    save_checkpoint(Checkpoint(vocabulary=build_dataset([]).vocabulary,
+                               params=params, config=TrainConfig(dim=2)),
+                    tmp_path / "model.ckpt")
+    for name in ("train", "valid", "test"):
+        (tmp_path / f"{name}.txt").write_text("")
+    return tmp_path
+
+
+@pytest.mark.parametrize("empty_model", list(ModelKind), indirect=True)
+class TestCliEmptyModel:
+    """A model with no entities ranks and inspects nothing, with no
+    traceback and no numpy warning."""
+
+    def test_eval_reports_no_queries(self, empty_model, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--checkpoint",
+                         str(empty_model / "model.ckpt"), "--data",
+                         str(empty_model), "--out",
+                         str(empty_model / "out")]) == 0
+        assert "no queries" in capsys.readouterr().out
+        assert (empty_model / "out" / "metrics.txt").read_text() == (
+            "n=0\ntie_policy=mean\n")
+
+    def test_inspect_exits_0(self, empty_model, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inspect", "--checkpoint",
+                         str(empty_model / "model.ckpt"), "--data",
+                         str(empty_model)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "mean entity norm: nan",
+            "no relation patterns detected above thresholds"]
 
 
 class TestCliDuplicates:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -161,9 +162,7 @@ class TestSgdStep:
         rng = np.random.default_rng(21)
         params = init_params(kind, 12, 3, 4, seed=21)
         expected = params.copy()
-        rel, expected_rel = ((p.relation_matrices if kind.uses_matrix
-                              else p.relation_vectors)
-                             for p in (params, expected))
+        rel, expected_rel = params.relations, expected.relations
         ent_g = RowGrads(np.array([0, 3, 7, 11]), rng.normal(size=(4, 4)))
         rel_g = RowGrads(np.array([0, 2]),
                          rng.normal(size=(2, *rel.shape[1:])))
@@ -187,12 +186,7 @@ class TestSgdStep:
         with pytest.raises(LsekgError):
             sgd_step(params, ent_g, rel_g, 0.1)
         assert np.array_equal(params.entities, before.entities)
-        if kind.uses_matrix:
-            assert np.array_equal(params.relation_matrices,
-                                  before.relation_matrices)
-        else:
-            assert np.array_equal(params.relation_vectors,
-                                  before.relation_vectors)
+        assert np.array_equal(params.relations, before.relations)
 
     def test_single_triple_descent(self):
         params = init_params(ModelKind.LSE_D, 4, 1, 8, seed=5)
@@ -268,8 +262,7 @@ def check_batch_gradient(kind, loss):
             params.entities[row, i] = orig
             fd = (up - down) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-    rel_arrays = (params.relation_matrices if kind.uses_matrix
-                  else params.relation_vectors)
+    rel_arrays = params.relations
     for r, grad in as_dict(rel_g).items():
         flat_grad = grad.ravel()
         flat = rel_arrays[r].ravel()
@@ -545,9 +538,9 @@ class TestTrain:
 
     def test_checkpoint_metadata(self, tiny_dataset):
         ckpt = train(tiny_dataset, ModelKind.LSE_D, desk_config())
-        assert ckpt.kind is ModelKind.LSE_D
-        assert ckpt.n_e == tiny_dataset.vocabulary.n_e
-        assert ckpt.params.entities.shape == (ckpt.n_e, ckpt.d)
+        assert ckpt.params.kind is ModelKind.LSE_D
+        assert ckpt.params.entities.shape == (tiny_dataset.vocabulary.n_e,
+                                              ckpt.config.dim)
         assert ckpt.best_valid_mrr is not None
 
     def test_frees_its_workspace_before_releasing_the_heap(
@@ -654,15 +647,10 @@ class TestCheckpointIO:
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        assert loaded.kind == ckpt.kind
+        assert loaded.params.kind == ckpt.params.kind
         assert loaded.step == ckpt.step
         assert np.array_equal(loaded.params.entities, ckpt.params.entities)
-        if kind.uses_matrix:
-            assert np.array_equal(loaded.params.relation_matrices,
-                                  ckpt.params.relation_matrices)
-        else:
-            assert np.array_equal(loaded.params.relation_vectors,
-                                  ckpt.params.relation_vectors)
+        assert np.array_equal(loaded.params.relations, ckpt.params.relations)
         assert loaded.vocabulary == ckpt.vocabulary
         assert loaded.config == ckpt.config
 
@@ -674,8 +662,8 @@ class TestCheckpointIO:
         loaded = load_checkpoint(path)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            h, t = rng.integers(0, ckpt.n_e, size=2)
-            r = rng.integers(0, ckpt.n_r)
+            h, t = rng.integers(0, ckpt.params.n_e, size=2)
+            r = rng.integers(0, ckpt.params.n_r)
             assert energy(ckpt.params, h, r, t) == energy(loaded.params,
                                                           h, r, t)
 
@@ -692,13 +680,9 @@ class TestCheckpointIO:
         shapes."""
         d = 2
         rel_shape = (0, d, d) if kind.uses_matrix else (0, d)
-        rel_field = ("relation_matrices" if kind.uses_matrix
-                     else "relation_vectors")
-        params = lsekg.models.Parameters(kind=kind, d=d,
-                                         entities=np.zeros((0, d)),
-                                         **{rel_field: np.zeros(rel_shape)})
-        ckpt = Checkpoint(kind=kind, d=d, n_e=0, n_r=0,
-                          vocabulary=Vocabulary(entity_to_id={},
+        params = lsekg.models.Parameters(kind=kind, entities=np.zeros((0, d)),
+                                         relations=np.zeros(rel_shape))
+        ckpt = Checkpoint(vocabulary=Vocabulary(entity_to_id={},
                                                 id_to_entity=(),
                                                 relation_to_id={},
                                                 id_to_relation=()),
@@ -708,6 +692,58 @@ class TestCheckpointIO:
         loaded = load_checkpoint(path)
         assert loaded.params.entities.shape == (0, d)
         assert loaded.params.relations.shape == rel_shape
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_file_bytes_are_pinned(self, kind, tmp_path):
+        """A checkpoint of fixed tables is written byte for byte as the
+        format has always written it, and reads back with its tables."""
+        ckpt = pinned_checkpoint(kind)
+        blob = checkpoint_bytes(tmp_path, ckpt)
+        assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[kind]
+        loaded = load_checkpoint(tmp_path / "valid.ckpt")
+        assert loaded.params.kind is kind
+        assert (loaded.vocabulary, loaded.config, loaded.step,
+                loaded.best_valid_mrr) == (ckpt.vocabulary, ckpt.config, 3,
+                                           0.25)
+        for got, want in ((loaded.params.entities, ckpt.params.entities),
+                          (loaded.params.relations, ckpt.params.relations)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_relation_views_are_the_one_table(self):
+        for kind in ModelKind:
+            params = init_params(kind, 3, 2, 2, seed=0)
+            views = (params.relation_matrices, params.relation_vectors)
+            assert views[not kind.uses_matrix] is params.relations
+            assert views[kind.uses_matrix] is None
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_parameters_reject_a_table_of_the_other_shape(self, kind):
+        other = init_params(ModelKind.LSE if kind is not ModelKind.LSE
+                            else ModelKind.LSE_D, 3, 2, 2, seed=0)
+        with pytest.raises(ConsistencyError, match="do not fit"):
+            lsekg.models.Parameters(kind, other.entities, other.relations)
+        with pytest.raises(ConsistencyError, match="do not fit"):
+            lsekg.models.Parameters(kind, other.entities[:, :1],
+                                    init_params(kind, 3, 2, 2, 0).relations)
+
+    @pytest.mark.parametrize("change", ["entities", "relations", "dim"])
+    def test_unreadable_checkpoint_not_written(self, tmp_path, change):
+        ckpt = small_checkpoint()
+        if change == "dim":
+            ckpt.config = TrainConfig(dim=3)
+        else:
+            vocab, names = ckpt.vocabulary, ("x", "y", "z", "w")
+            ckpt.vocabulary = (Vocabulary(
+                entity_to_id=dict(zip(names, range(4))), id_to_entity=names,
+                relation_to_id=vocab.relation_to_id,
+                id_to_relation=vocab.id_to_relation) if change == "entities"
+                else Vocabulary(
+                entity_to_id=vocab.entity_to_id,
+                id_to_entity=vocab.id_to_entity, relation_to_id={"r": 0},
+                id_to_relation=("r",)))
+        with pytest.raises(ConsistencyError, match="does not fit"):
+            save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        assert not (tmp_path / "bad.ckpt").exists()
 
     def test_truncated_file_rejected(self, tiny_dataset, tmp_path):
         ckpt = train(tiny_dataset, ModelKind.LSE_D,
@@ -741,9 +777,36 @@ def small_checkpoint(kind=ModelKind.LSE_D) -> Checkpoint:
                        id_to_entity=("a", "b", "c"),
                        relation_to_id={"r": 0, "s": 1},
                        id_to_relation=("r", "s"))
-    return Checkpoint(kind=kind, d=2, n_e=3, n_r=2, vocabulary=vocab,
-                      params=params, config=TrainConfig(dim=2), step=7,
-                      best_valid_mrr=0.5)
+    return Checkpoint(vocabulary=vocab, params=params,
+                      config=TrainConfig(dim=2), step=7, best_valid_mrr=0.5)
+
+
+# the SHA-256 of each kind's `pinned_checkpoint` file, as the format writes
+# it; a change to these is a change to the file format
+PINNED_SHA256 = {
+    ModelKind.LSE:
+        "a2421b463c421c2984f21f2c143d3dadc362c9f26396ecbfad465c55cd36d42f",
+    ModelKind.LSE_D:
+        "e67b08fc4d0a9aa3aff4e5fae1e87cf2f2fe6b36193ec34ae2416508b5a89b98",
+    ModelKind.TRANSE:
+        "115e1e331b25439bbfc95e76552263adaa0ee6397a2d6f2ee81035b039765dc1",
+    ModelKind.DISTMULT:
+        "2d84bdd144203cfaace527cce81f50f3a581b08438826a7200e31d61e3a9f412",
+}
+
+
+def pinned_checkpoint(kind) -> Checkpoint:
+    """A checkpoint of fixed tables: two entities and two relations at
+    d = 2."""
+    relations = (np.arange(1.0, 9.0).reshape(2, 2, 2) / 4 if kind.uses_matrix
+                 else np.array([[1.5, -0.5], [0.25, 3.0]]))
+    params = lsekg.models.Parameters(
+        kind, np.array([[0.5, -1.25], [2.0, 0.125]]), relations)
+    vocab = Vocabulary(entity_to_id={"a": 0, "b": 1}, id_to_entity=("a", "b"),
+                       relation_to_id={"r": 0, "s": 1},
+                       id_to_relation=("r", "s"))
+    return Checkpoint(vocabulary=vocab, params=params,
+                      config=TrainConfig(dim=2), step=3, best_valid_mrr=0.25)
 
 
 def checkpoint_bytes(tmp_path, ckpt) -> bytes:
@@ -776,9 +839,9 @@ def loads_or_rejects(path):
         ckpt = load_checkpoint(path)
     except (InputError, ConsistencyError):
         return None
-    assert ckpt.params.entities.shape == (ckpt.n_e, ckpt.d)
-    assert len(ckpt.vocabulary.entity_to_id) == ckpt.n_e
-    assert len(ckpt.vocabulary.relation_to_id) == ckpt.n_r
+    assert ckpt.params.entities.shape == (ckpt.params.n_e, ckpt.config.dim)
+    assert len(ckpt.vocabulary.entity_to_id) == ckpt.params.n_e
+    assert len(ckpt.vocabulary.relation_to_id) == ckpt.params.n_r
     return ckpt
 
 
@@ -854,7 +917,7 @@ class TestCheckpointFuzz:
     def test_bad_stored_config_rejected(self, tmp_path, changes):
         ckpt = small_checkpoint()
         ckpt.params = init_params(ModelKind.LSE_D, 3, 2, 1, seed=0)
-        ckpt.d, ckpt.config = 1, TrainConfig(dim=1)
+        ckpt.config = TrainConfig(dim=1)
         meta, arrays = split_checkpoint(checkpoint_bytes(tmp_path, ckpt))
         for key, value in changes.items():
             outer, _, inner = key.partition(".")
