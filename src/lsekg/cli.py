@@ -142,10 +142,10 @@ def _split_path(args, name: str) -> str | None:
 
 def _rank_and_report(params, triples: np.ndarray, filter_index, p: int,
                      tie_policy: str, threads: int, out: str) -> None:
-    """Rank `triples`, print the text report and write `metrics.txt` to
-    `out`. Thread i ranks triples[i::threads]; one thread ranks the whole
-    split in order, as a direct `evaluate` does."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    """Rank `triples` as `threads` shards, triples[i::threads], on at most
+    one thread per core; print the report and write `metrics.txt` to `out`.
+    One shard is the whole split in order, as a direct `evaluate` ranks it."""
+    with ThreadPoolExecutor(min(threads, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(evaluate, params, triples[i::threads],
                                filter_index, p, tie_policy)
                    for i in range(threads)]

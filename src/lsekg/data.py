@@ -7,9 +7,7 @@ WN18RR distributions use.
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -211,15 +209,15 @@ class FilterIndex:
         """The known tails of every (head, relation) pair in one flat form,
         `(query, ids)`: ids[k] is a known tail of pair query[k]. The pairs
         come sorted by query, then by id."""
-        return self._pairs(self.tail_keys,
-                           self._bases(heads, relations, self.n_e, self.n_r))
+        return _pairs(self.tail_keys, self._bases(heads, relations, self.n_e,
+                                                  self.n_r), self.n_e)
 
     def known_head_pairs(self, relations, tails
                          ) -> tuple[np.ndarray, np.ndarray]:
         """The known heads of every (relation, tail) pair, flat as in
         `known_tail_pairs`."""
-        return self._pairs(self.head_keys,
-                           self._bases(relations, tails, self.n_r, self.n_e))
+        return _pairs(self.head_keys, self._bases(relations, tails, self.n_r,
+                                                  self.n_e), self.n_e)
 
     def known_tails(self, heads, relations) -> list[np.ndarray]:
         """The sorted known tail ids of each (head, relation) pair."""
@@ -245,20 +243,21 @@ class FilterIndex:
         # an id out of range may overflow here; its base is dropped
         return np.where(known, (major * n_minor + minor) * self.n_e, -1)
 
-    def _pairs(self, keys: np.ndarray,
-               bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The keys in [base, base + n_e) less their base, for each base, as
-        (base index, id) pairs: one search finds the bounds of every run. A
-        base of -1 has none."""
-        ends = np.where(bases < 0, bases, bases + self.n_e)
-        n = len(bases)
-        bounds = np.searchsorted(keys, np.concatenate([bases, ends]))
-        counts = bounds[n:] - bounds[:n]
-        query = np.repeat(np.arange(n), counts)
-        # each pair's offset within its run, plus the run's first key
-        at = np.arange(len(query)) + np.repeat(
-            bounds[:n] - (np.cumsum(counts) - counts), counts)
-        return query, keys[at] - bases[query]
+
+def _pairs(keys: np.ndarray, bases: np.ndarray, width: int,
+           budget: int = 2**63 - 1) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted keys in [base, base + width) less their base, as (base
+    index, id) pairs, cut to the first `budget` before they are gathered.
+    One search bounds every run; a base of -1 has none."""
+    ends = np.where(bases < 0, bases, bases + width)
+    lo, hi = np.searchsorted(keys, [bases, ends])
+    counts = hi - lo
+    before = np.cumsum(counts) - counts
+    counts = np.clip(budget - before, 0, counts)
+    query = np.repeat(np.arange(len(bases)), counts)
+    # each pair's offset within its run, plus the run's first key
+    at = np.arange(len(query)) + np.repeat(lo - before, counts)
+    return query, keys[at] - bases[query]
 
 
 def _split(query: np.ndarray, ids: np.ndarray, n: int) -> list[np.ndarray]:
@@ -290,6 +289,9 @@ def build_filter_index(splits: Iterable,
     )
 
 
+INVERSE_THRESHOLD = 0.8
+
+
 @dataclass
 class RelationStats:
     """Per-relation training statistics.
@@ -304,7 +306,7 @@ class RelationStats:
     tph: float = 0.0
     hpt: float = 0.0
     symmetry_score: float = 0.0
-    # (partner relation id, score), score >= the detection threshold
+    # (partner relation id, score), score >= INVERSE_THRESHOLD
     inverse_partners: list[tuple[int, float]] = field(default_factory=list)
     # (r1, r2, r3, support): support = closed two-hop paths h -r1-> m -r2-> t
     # with (h, r3, t) present
@@ -314,69 +316,66 @@ class RelationStats:
 
 def compute_bernoulli_stats(train: np.ndarray) -> dict[int, RelationStats]:
     """tph (triples per distinct head) and hpt (triples per distinct tail)
-    for every relation with at least one triple of an (n, 3) id array."""
-    count: dict[int, int] = defaultdict(int)
-    heads: dict[int, set[int]] = defaultdict(set)
-    tails: dict[int, set[int]] = defaultdict(set)
-    for h, r, t in train.tolist():
-        count[r] += 1
-        heads[r].add(h)
-        tails[r].add(t)
-    return {
-        r: RelationStats(relation=r, n_triples=n,
-                         tph=n / len(heads[r]), hpt=n / len(tails[r]))
-        for r, n in count.items()
-    }
+    for every relation with at least one triple of an (n, 3) id array, in
+    ascending relation id."""
+    h, r, t = np.asarray(train, np.int64).reshape(-1, 3).T
+    n_r = int(r.max(initial=-1)) + 1
+    # the triples, distinct heads and distinct tails of each relation
+    n, heads, tails = (np.bincount(keys % n_r, minlength=n_r).tolist()
+                       for keys in (r, np.unique(h * n_r + r),
+                                    np.unique(t * n_r + r)))
+    return {rel: RelationStats(relation=rel, n_triples=n[rel],
+                               tph=n[rel] / heads[rel],
+                               hpt=n[rel] / tails[rel])
+            for rel in range(n_r) if n[rel]}
 
 
-def detect_patterns(train: np.ndarray,
-                    inverse_threshold: float = 0.8,
-                    composition_path_cap: int = 100_000,
+def detect_patterns(train: np.ndarray, composition_path_cap: int = 100_000
                     ) -> dict[int, RelationStats]:
-    """Score symmetry, inverse pairs, and composition closures on a graph.
+    """Score symmetry, inverse pairs, and composition closures on a graph,
+    an (n, 3) id array. The relations come in ascending id, as do each
+    one's inverse partners; for `build_dataset` output that is their order
+    of first appearance.
 
     symmetry_score(r) is the fraction of r-edges whose reverse is also an
     r-edge. An inverse partner (r1, r2) is reported when at least
-    `inverse_threshold` of r1-edges have the reversed r2-edge present.
+    `INVERSE_THRESHOLD` of r1-edges have the reversed r2-edge present.
     Composition support counts two-hop paths (h, r1, m), (m, r2, t) closed by
-    (h, r3, t); path enumeration stops after `composition_path_cap` paths.
+    (h, r3, t). Paths are enumerated in (r1, r2, h, m, t) order, and only
+    the first `composition_path_cap` of them are counted.
     """
     stats = compute_bernoulli_stats(train)
+    index = build_filter_index([train])
+    n_e, n_r, keys = index.n_e, index.n_r, index.tail_keys
+    # the distinct edges, in (h, r, t) order
+    hr, t = np.divmod(keys, n_e)
+    h, r = np.divmod(hr, n_r)
+    # pair-major keys: the relations holding an entity pair are one run
+    pair_keys = np.sort((h * n_e + t) * n_r + r)
+    # (edge, r2) for each r2-edge that reverses an edge
+    edge, reverse = _pairs(pair_keys, (t * n_e + h) * n_r, n_r)
+    n = np.bincount(r, minlength=n_r)
+    # scores[r1, r2]: the share of r1-edges whose reverse is an r2-edge
+    scores = np.bincount(r[edge] * n_r + reverse, minlength=n_r * n_r
+                         ).reshape(n_r, n_r) / np.maximum(n, 1)[:, None]
+    for rel, rs in stats.items():
+        rs.symmetry_score = float(scores[rel, rel])
+    partners = (scores >= INVERSE_THRESHOLD) & ~np.eye(n_r, dtype=bool)
+    for r1, r2 in np.argwhere(partners).tolist():
+        stats[r1].inverse_partners.append((r2, float(scores[r1, r2])))
 
-    edges: dict[int, set[tuple[int, int]]] = defaultdict(set)
-    for h, r, t in train.tolist():
-        edges[r].add((h, t))
-    # all relations holding an edge h -> t, for closure lookups
-    rels_of: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for r, es in edges.items():
-        for e in es:
-            rels_of[e].add(r)
-    out_by_head: dict[int, dict[int, list[int]]] = {
-        r: defaultdict(list) for r in edges
-    }
-    for r, es in edges.items():
-        for h, t in es:
-            out_by_head[r][h].append(t)
-
-    for r1, es1 in edges.items():
-        reversed_hits = sum((t, h) in es1 for h, t in es1)
-        stats[r1].symmetry_score = reversed_hits / len(es1)
-        for r2, es2 in edges.items():
-            if r2 == r1:
-                continue
-            score = sum((t, h) in es2 for h, t in es1) / len(es1)
-            if score >= inverse_threshold:
-                stats[r1].inverse_partners.append((r2, score))
-
-    paths = ((r1, r2, h, t)
-             for r1 in sorted(edges) for r2 in sorted(edges)
-             for h, m in sorted(edges[r1])
-             for t in out_by_head[r2].get(m, ()))
-    support: dict[tuple[int, int, int], int] = defaultdict(int)
-    for r1, r2, h, t in itertools.islice(paths, composition_path_cap):
-        for r3 in rels_of.get((h, t), ()):
-            support[(r1, r2, r3)] += 1
-    for (r1, r2, r3), n in sorted(support.items()):
-        stats[r3].composition_samples.append((r1, r2, r3, n))
-
+    budget = composition_path_cap
+    for r1 in stats:
+        h1, m1 = h[r == r1], t[r == r1]
+        for r2 in stats:
+            if budget <= 0:
+                return stats
+            # the first paths of (r1, r2) in the budget, and the r3s of each
+            path, t2 = _pairs(keys, (m1 * n_r + r2) * n_e, n_e, budget)
+            budget -= len(path)
+            closing = _pairs(pair_keys, (h1[path] * n_e + t2) * n_r, n_r)[1]
+            support = np.bincount(closing, minlength=n_r)
+            for r3 in np.flatnonzero(support).tolist():
+                stats[r3].composition_samples.append(
+                    (r1, r2, r3, int(support[r3])))
     return stats

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from lsekg import ConsistencyError
-from lsekg.data import RelationStats
+from lsekg.data import INVERSE_THRESHOLD, RelationStats
 from lsekg.seeding import substream
 
 
@@ -594,10 +594,12 @@ def all_head_energies(params: Parameters, r: int, t: int,
     return all_entity_energies(params, "head", [t], [r], p)[0]
 
 
-def lemma_diagnostics(params: Parameters,
-                      stats: dict[int, RelationStats],
-                      symmetry_threshold: float = 0.8,
-                      min_composition_support: int = 5,
+# a relation is checked as symmetric, its own inverse partner, from
+# INVERSE_THRESHOLD on, and a composition chain from this support on
+MIN_COMPOSITION_SUPPORT = 5
+
+
+def lemma_diagnostics(params: Parameters, stats: dict[int, RelationStats]
                       ) -> dict[str, list[dict]]:
     """Residuals of the linear-map identities implied by detected patterns.
 
@@ -652,7 +654,7 @@ def lemma_diagnostics(params: Parameters,
         return record(relations, (r1, r2), (), score=score)
 
     for r, rs in sorted(stats.items()):
-        if rs.symmetry_score >= symmetry_threshold:
+        if rs.symmetry_score >= INVERSE_THRESHOLD:
             if transe:
                 rec = record((r,), (r,), (), score=rs.symmetry_score)
                 rec["norm_ratio"] = rec["residual"] / mean_entity_norm
@@ -662,7 +664,7 @@ def lemma_diagnostics(params: Parameters,
         for r2, score in rs.inverse_partners:
             report["inverse"].append(inverse((r, r2), r, r2, score))
         for r1, r2, r3, support in rs.composition_samples:
-            if support >= min_composition_support:
+            if support >= MIN_COMPOSITION_SUPPORT:
                 report["composition"].append(
                     record((r1, r2, r3), (r1, r2), (r3,), support=support))
 

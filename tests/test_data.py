@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import defaultdict
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lsekg import ConsistencyError, InputError
-from lsekg.data import (build_dataset, build_filter_index,
+from lsekg.data import (INVERSE_THRESHOLD, build_dataset, build_filter_index,
                         compute_bernoulli_stats, detect_patterns, load_split)
+from lsekg.synth import PATTERNS, generate
 
 
 @pytest.fixture
@@ -376,25 +378,88 @@ class TestDetectPatterns:
         assert total <= 5
 
     def test_composition_path_cap_keeps_the_first_paths(self):
-        raw = []
+        chains = []
         for i in range(20):
-            raw.append((f"a{i}", "r1", f"b{i}"))
-            raw.append((f"b{i}", "r2", f"c{i}"))
-            raw.append((f"a{i}", "r3", f"c{i}"))
-        ds = build_dataset(raw)
-        triples = [tuple(x) for x in ds.train.tolist()]
-        paths = sorted((r1, r2, h, m, t)
-                       for h, r1, m in triples
-                       for m2, r2, t in triples if m2 == m)
-        for cap in range(1, 22):
-            support = defaultdict(int)
-            for r1, r2, h, m, t in paths[:cap]:
-                for h3, r3, t3 in triples:
-                    if (h3, t3) == (h, t):
-                        support[(r1, r2, r3)] += 1
-            expected = defaultdict(list)
-            for (r1, r2, r3), n in sorted(support.items()):
-                expected[r3].append((r1, r2, r3, n))
-            stats = detect_patterns(ds.train, composition_path_cap=cap)
-            for r, rs in stats.items():
-                assert rs.composition_samples == expected[r], cap
+            chains.append((f"a{i}", "r1", f"b{i}"))
+            chains.append((f"b{i}", "r2", f"c{i}"))
+            chains.append((f"a{i}", "r3", f"c{i}"))
+        # several tails per (r2, m), so a cap can fall inside one m's tails
+        hub = [("a", "r1", "b"), ("d", "r1", "b")]
+        hub += [("b", "r2", f"c{i}") for i in range(8)]
+        hub += [(h, "r3", f"c{i}") for h in "ad" for i in range(8)
+                if i % 3 != 1]
+        for raw in (chains, hub):
+            ds = build_dataset(raw)
+            for cap in range(1, 22):
+                expected = brute_force_patterns(ds.train, cap)
+                stats = detect_patterns(ds.train, composition_path_cap=cap)
+                for r, rs in stats.items():
+                    assert rs.composition_samples == (
+                        expected[r]["composition_samples"]), cap
+
+    @pytest.mark.parametrize("cap", [None, 50, 7, 1])
+    def test_equals_brute_force(self, cap):
+        graphs = [build_dataset(generate(pattern, 40, 200, 0.5, seed).train)
+                  .train for pattern in PATTERNS for seed in range(3)]
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            # unsorted ids that skip some relations, self-loops included
+            n_e, n_r = rng.integers(2, 10), rng.integers(1, 5)
+            triples = np.unique(rng.integers(0, [n_e, n_r, n_e],
+                                             size=(rng.integers(1, 50), 3)),
+                                axis=0)
+            graphs.append(rng.permutation(triples))
+        for train in graphs:
+            expected = brute_force_patterns(train, cap)
+            bernoulli = compute_bernoulli_stats(train)
+            stats = (detect_patterns(train) if cap is None
+                     else detect_patterns(train, composition_path_cap=cap))
+            assert list(stats) == list(bernoulli) == list(expected)
+            for r, fields in expected.items():
+                got = dataclasses.asdict(stats[r])
+                got = {key: got[key] for key in fields}
+                assert got == fields
+                # the same Python types, not numpy scalars
+                assert repr(got) == repr(fields)
+                assert repr((bernoulli[r].n_triples, bernoulli[r].tph,
+                             bernoulli[r].hpt)) == repr(
+                    (fields["n_triples"], fields["tph"], fields["hpt"]))
+
+
+def brute_force_patterns(train: np.ndarray, cap: int | None) -> dict:
+    """`detect_patterns`' fields for each relation of a duplicate-free id
+    array, counted over the triples one by one: the two-hop paths are
+    enumerated in sorted (r1, r2, h, m, t) order, and the first `cap` of
+    them (all of them for None) are counted."""
+    triples = [tuple(x) for x in train.tolist()]
+    known = set(triples)
+    relations = sorted({r for _, r, _ in triples})
+    expected = {}
+    for r in relations:
+        edges = [(h, t) for h, r_, t in triples if r_ == r]
+        n = len(edges)
+
+        def reversed_share(r2):
+            return sum((t, r2, h) in known for h, t in edges) / n
+
+        expected[r] = {
+            "n_triples": n,
+            "tph": n / len({h for h, _ in edges}),
+            "hpt": n / len({t for _, t in edges}),
+            "symmetry_score": reversed_share(r),
+            "inverse_partners": [
+                (r2, reversed_share(r2)) for r2 in relations
+                if r2 != r and reversed_share(r2) >= INVERSE_THRESHOLD],
+            "composition_samples": [],
+        }
+    paths = sorted((r1, r2, h, m, t)
+                   for h, r1, m in triples
+                   for m2, r2, t in triples if m2 == m)
+    support = defaultdict(int)
+    for r1, r2, h, _, t in paths[:cap]:
+        for r3 in relations:
+            if (h, r3, t) in known:
+                support[(r1, r2, r3)] += 1
+    for (r1, r2, r3), n in sorted(support.items()):
+        expected[r3]["composition_samples"].append((r1, r2, r3, n))
+    return expected

@@ -6,12 +6,13 @@ import struct
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import lsekg
-from lsekg import InputError
+from lsekg import InputError, cli
 from lsekg.cli import (_SAMPLER_KEYS, CONFIG_KEYS, _read_config_file,
                        _resolve_train_config, build_parser, main)
 from lsekg.data import build_dataset, detect_patterns, load_split
@@ -285,6 +286,31 @@ class TestCliEval:
             assert proc.returncode == 0, proc.stderr
             results.append((dest / "metrics.txt").read_text())
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("threads, cores, workers",
+                             [(64, 3, 3), (2, 3, 2), (5, None, 1)])
+    def test_pool_has_at_most_one_thread_per_core(
+            self, monkeypatch, capsys, synth_dir, trained_dir, tmp_path,
+            threads, cores, workers):
+        out, _ = trained_dir
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        metrics = []
+        for n in ("1", str(threads)):
+            assert main(["eval", "--checkpoint", str(out / "lse_d.ckpt"),
+                         "--data", str(synth_dir), "--threads", n,
+                         "--out", str(tmp_path / n)]) == 0
+            metrics.append((tmp_path / n / "metrics.txt").read_text())
+        assert pools == [1, workers]
+        # every shard is still ranked
+        assert metrics[0] == metrics[1]
 
     def test_test_flag_is_the_test_filter_split(self, synth_dir,
                                                 trained_dir, tmp_path):
