@@ -142,13 +142,15 @@ def _split_path(args, name: str) -> str | None:
 
 def _rank_and_report(params, triples: np.ndarray, filter_index, p: int,
                      tie_policy: str, threads: int, out: str) -> None:
-    """Rank `triples` as `threads` shards, triples[i::threads], on at most
-    one thread per core; print the report and write `metrics.txt` to `out`.
-    One shard is the whole split in order, as a direct `evaluate` ranks it."""
-    with ThreadPoolExecutor(min(threads, os.cpu_count() or 1)) as pool:
+    """Rank `triples` as shards triples[i::threads], the non-empty ones and
+    at least one, on at most one thread per core; print the report and
+    write `metrics.txt` to `out`. One shard is the whole split in order, as
+    a direct `evaluate` ranks it."""
+    shards = max(1, min(threads, len(triples)))
+    with ThreadPoolExecutor(min(shards, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(evaluate, params, triples[i::threads],
                                filter_index, p, tie_policy)
-                   for i in range(threads)]
+                   for i in range(shards)]
         records = [rec for fut in futures for rec in fut.result()[1]]
     metrics = aggregate(records, tie_policy)
     print(report(metrics), end="")

@@ -12,10 +12,12 @@ Each kind's math is written once, batched over rows: the relation map
 (`_batch_energies`, which also holds DistMult's product) and the
 closed-form gradients (`_batch_gradients`). Scalar `energy` and
 `energy_gradients` are batches of one, and the training step, the
-query-batched all-entity scan (`all_entity_energies`) and
-`lemma_diagnostics` call the same functions.
-The row math runs in blocks of `_BLOCK_ROWS` rows, writing into the
-buffers of a `Workspace` that a training run keeps from step to step.
+all-entity ranking and `lemma_diagnostics` call the same functions.
+`all_entity_energies` ranks every entity for Q queries in one scan loop
+over blocks of `_BLOCK_ROWS` rows; its residuals op(E'[e], v_q) - s_q
+equal those of `_batch_energies` up to a sign that no p-norm sees. The
+training kernels write into the buffers of a `Workspace` that a run
+keeps from step to step.
 Energies and gradients are pure reads of `Parameters`; the training module
 owns all mutation.
 """
@@ -470,61 +472,28 @@ def energy_gradients(params: Parameters, h: int, r: int, t: int,
 # all-entity ranking
 # ---------------------------------------------------------------------------
 
-def _slice_rows(n_queries: int) -> int:
-    """Entity rows per slice of a batch's scan: the residuals of
-    `n_queries` queries then fill as many rows as a single query's block."""
-    return max(1, _BLOCK_ROWS // n_queries)
-
-
-def _scan_entities(params: Parameters, fill, p: int, n_queries: int,
-                   map_block=None) -> np.ndarray:
-    """The p-norm of one residual row per (query, entity) pair, computed
-    block by block: an (n_queries, n_e) array.
-
-    `fill(rows, out)` writes the residuals of a slice of entity rows into
-    `out`, a view of one buffer that every slice reuses. The slices hold
-    `_slice_rows(n_queries)` rows and `out` is (n_queries, rows * d), each
-    query's residual rows laid end to end, so that numpy loops along a
-    query's whole slice: a broadcast over (n_queries, rows, d) loops along
-    rows of d, which took 1.4 to 1.9 times as long at d = 48 and 100 on a
-    2-core VM. With `map_block`, each block of `_BLOCK_ROWS` entity rows
-    goes through `map_block(rows)` first, and `fill` sees slices along the
-    second-to-last axis of what it returns. Each row is still summed whole,
-    so the energies are bitwise those of an unblocked pass with the same
-    residuals.
-    """
-    ents = params.entities
-    n_e, d = ents.shape
-    step = _slice_rows(n_queries)
-    energies = np.empty((n_queries, n_e))
-    buf = np.empty((n_queries, min(step, n_e) * d))
-    for lo, hi in _blocks(n_e):
-        table = ents[lo:hi] if map_block is None else map_block(ents[lo:hi])
-        for start in range(0, hi - lo, step):
-            stop = min(start + step, hi - lo)
-            res = buf[:, :(stop - start) * d]
-            fill(table[..., start:stop, :], res)
-            res = res.reshape(n_queries, stop - start, d)
-            _row_norms(res, p, out=energies[:, lo + start:lo + stop],
-                       terms=res)
-    return energies
-
-
 def all_entity_energies(params: Parameters, side: str, anchors, rels,
                         p: int = 1) -> np.ndarray:
     """Energies of every entity in Q queries at once, as a (Q, n_e) array.
 
     With `side` "tail", row i holds (anchors[i], rels[i], e) for every
     entity e; with "head", (e, rels[i], anchors[i]). Each row is bitwise
-    the one its query gives alone, so the rows do not depend on which
-    queries share the call:
-      - a query's map of its anchor is one vector-matrix (LSE tails) or
-        matrix-vector (DistMult) product, stacked over the queries, which
-        sums as the product of one query does; a product over a group of
-        queries would not;
-      - LSE ranks one relation at a time: its tails stack each query's
-        product with the one matrix, and its heads map each block of
-        entity rows once, over the block bounds of a single query.
+    the one its query gives alone: a query maps its anchor by a product of
+    its own (LSE tails, DistMult), which a product over a group of queries
+    would not sum alike, and LSE ranks one relation at a time, mapping each
+    block of entity rows once for its heads, over one query's block bounds.
+
+    The distance kinds scan the entity rows in blocks of `_BLOCK_ROWS`,
+    each in slices of `_BLOCK_ROWS // Q` rows, and the residual of query q
+    and entity e is op(E'[e], v_q) - s_q. On the tail side E' is the table,
+    with no op, and s_q the mapped anchor: the negative of
+    `_batch_energies`' map(h) - t, which gives the same bits, since IEEE
+    subtraction is antisymmetric and |x| and x * x drop the sign. On the
+    head side s_q is the anchor's row, and E' the block mapped by LSE's
+    matrix, or op TransE's or LSE_d's map by the query's vector v_q. One
+    (Q, rows * d) buffer holds a slice's residuals, each query's rows end
+    to end, so that numpy loops along whole slices: over (Q, rows, d) it
+    took 1.4 to 1.9 times as long at d = 48 and 100 on a 2-core VM.
     """
     if side not in ("tail", "head"):
         raise ValueError(f"unknown side {side!r}")
@@ -537,8 +506,8 @@ def all_entity_energies(params: Parameters, side: str, anchors, rels,
         mapped = map_heads(params, ents, rels, anchors)
         energies = np.matmul(ents, mapped[:, :, None])[:, :, 0]
         return np.negative(energies, out=energies)
-    uniq = np.unique(rels) if kind is ModelKind.LSE else None
-    if uniq is not None and len(uniq) != 1:
+    lse = kind is ModelKind.LSE
+    if lse and len(uniq := np.unique(rels)) != 1:
         # one relation at a time, so that no (Q, d, d) gather of matrices
         # and no mapped block per relation is held at once
         energies = np.empty((q, len(ents)))
@@ -547,39 +516,33 @@ def all_entity_energies(params: Parameters, side: str, anchors, rels,
             energies[sel] = all_entity_energies(params, side, anchors[sel],
                                                 rels[sel], p)
         return energies
-    step = _slice_rows(q)
-    if side == "tail":
-        if kind is ModelKind.LSE:
-            mapped = np.matmul(ents[anchors][:, None, :],
-                               params.relations[rels[0]])[:, 0]
-        else:
-            mapped = map_heads(params, ents, rels, anchors)
-        # each query's row repeated along a slice of entity rows
-        mapped = np.tile(mapped, step)
-
-        def fill(rows, out):
-            np.subtract(mapped[:, :out.shape[1]], rows.reshape(-1), out=out)
-
-        return _scan_entities(params, fill, p, q)
-    tails = np.tile(ents[anchors], step)
-    if kind is not ModelKind.LSE:
-        op = _vector_op(kind)
-        vecs = np.tile(params.relations[rels], step)
-
-        def fill(rows, out):
-            op(rows.reshape(-1), vecs[:, :out.shape[1]], out=out)
-            out -= tails[:, :out.shape[1]]
-
-        return _scan_entities(params, fill, p, q)
-    mapped = np.empty((min(_BLOCK_ROWS, len(ents)), params.d))
-
-    def map_block(rows):
-        return map_heads(params, rows, rels[0], out=mapped[:len(rows)])
-
-    def fill(table, out):
-        np.subtract(table.reshape(-1), tails[:, :out.shape[1]], out=out)
-
-    return _scan_entities(params, fill, p, q, map_block)
+    (n_e, d), step = ents.shape, max(1, _BLOCK_ROWS // q)
+    head = side == "head"
+    vecs = np.tile(params.relations[rels], step) if head and not lse else None
+    mapped = np.empty((min(_BLOCK_ROWS, n_e), d)) if head and lse else None
+    if head:
+        subtrahend = ents[anchors]
+    elif lse:  # each anchor a (1, d) row, mapped by a product of its own
+        subtrahend = map_heads(params, ents[anchors][:, None], rels[0])[:, 0]
+    else:
+        subtrahend = map_heads(params, ents, rels, anchors)
+    # each query's row repeated along a slice of entity rows
+    subtrahend = np.tile(subtrahend, step)
+    energies = np.empty((q, n_e))
+    buf = np.empty((q, min(step, n_e) * d))
+    for lo, hi in _blocks(n_e):
+        block = ents[lo:hi] if mapped is None else map_heads(
+            params, ents[lo:hi], rels[0], out=mapped[:hi - lo])
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            w = (stop - start) * d
+            res, rows = buf[:, :w], block[start - lo:stop - lo].reshape(-1)
+            if vecs is not None:
+                rows = _vector_op(kind)(rows, vecs[:, :w], out=res)
+            np.subtract(rows, subtrahend[:, :w], out=res)
+            res = res.reshape(q, stop - start, d)
+            _row_norms(res, p, out=energies[:, start:stop], terms=res)
+    return energies
 
 
 def all_tail_energies(params: Parameters, h: int, r: int,

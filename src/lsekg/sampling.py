@@ -95,7 +95,7 @@ class NegativeSampler:
         pos = np.asarray(positives)
         b = pos.shape[0]
         k = self.config.negatives_per_positive
-        neg = np.repeat(pos[:, None, :], k, axis=1).copy()
+        neg = np.repeat(pos[:, None, :], k, axis=1)
 
         p_head = self._head_probs(pos[:, 1])[:, None]
         replace_head = self.rng.random((b, k)) < p_head

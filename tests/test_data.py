@@ -101,7 +101,8 @@ class TestBuildDataset:
                 for h, r, t in ds.train.tolist()] == raw
 
     def test_dense_ids(self):
-        ds = build_dataset([("a", "r", "b")], [("c", "s", "d")])
+        with pytest.warns(UserWarning, match="2 entities appear only in"):
+            ds = build_dataset([("a", "r", "b")], [("c", "s", "d")])
         v = ds.vocabulary
         assert sorted(v.entity_to_id.values()) == list(range(v.n_e))
         assert sorted(v.relation_to_id.values()) == list(range(v.n_r))
@@ -327,9 +328,11 @@ class TestDetectPatterns:
         rng = np.random.default_rng(3)
         raw = [(f"e{a}", "r", f"e{b}")
                for a, b in rng.integers(0, 12, size=(60, 2)) if a != b]
-        forward = detect_patterns(build_dataset(raw).train)
         reversed_raw = [(t, r, h) for h, r, t in raw]
-        backward = detect_patterns(build_dataset(reversed_raw).train)
+        with pytest.warns(UserWarning, match="dropped 13 duplicate"):
+            forward = detect_patterns(build_dataset(raw).train)
+        with pytest.warns(UserWarning, match="dropped 13 duplicate"):
+            backward = detect_patterns(build_dataset(reversed_raw).train)
         assert forward[0].symmetry_score == pytest.approx(
             backward[0].symmetry_score)
 

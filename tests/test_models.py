@@ -4,16 +4,24 @@ import pytest
 import lsekg.models
 from lsekg import ConsistencyError
 from lsekg.data import RelationStats
-from lsekg.models import (_BLOCK_ROWS, ModelKind, Parameters,
-                          _scan_entities, all_entity_energies,
-                          all_head_energies, all_tail_energies, energy,
-                          energy_gradients, init_params, lemma_diagnostics,
-                          map_heads)
+from lsekg.models import (_BLOCK_ROWS, ModelKind, Parameters, _row_norms,
+                          all_entity_energies, all_head_energies,
+                          all_tail_energies, energy, energy_gradients,
+                          init_params, lemma_diagnostics, map_heads)
 from lsekg.training import _batch_energies, _batch_gradients
 
 KINDS = list(ModelKind)
 EPS = np.finfo(float).eps
 DISTANCE_KINDS = [ModelKind.LSE, ModelKind.LSE_D, ModelKind.TRANSE]
+
+
+def whole_table_energies(params, side, anchor, r, p):
+    """One query's energies from whole-table maps, with the training
+    kernel's residual map(h) - t."""
+    ents = params.entities
+    if side == "tail":
+        return _row_norms(map_heads(params, ents[anchor], r) - ents, p)
+    return _row_norms(map_heads(params, ents, r) - ents[anchor], p)
 
 
 def make_params(kind, n_e=6, n_r=3, d=8, seed=0):
@@ -276,21 +284,15 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("p_norm", [1, 2])
     @pytest.mark.parametrize("n_e", [1, 50, _BLOCK_ROWS])
     def test_one_block_table_equals_block_scan(self, kind, p_norm, n_e):
+        # a table of at most one block is mapped and normed as one
         params = make_params(kind, n_e=n_e, d=40, seed=n_e)
-        ents = params.entities
         h, r, t = 0, 1, n_e - 1
-        mapped = map_heads(params, ents[h], r)
-
-        def fill(rows, out):
-            out = map_heads(params, rows, r, out=out.reshape(-1, 40))
-            out -= ents[t]
-
-        assert np.array_equal(
-            all_tail_energies(params, h, r, p_norm),
-            _scan_entities(params, lambda rows, out: np.subtract(
-                mapped, rows, out=out.reshape(-1, 40)), p_norm, 1)[0])
+        assert np.array_equal(all_tail_energies(params, h, r, p_norm),
+                              whole_table_energies(params, "tail", h, r,
+                                                   p_norm))
         assert np.array_equal(all_head_energies(params, r, t, p_norm),
-                              _scan_entities(params, fill, p_norm, 1)[0])
+                              whole_table_energies(params, "head", t, r,
+                                                   p_norm))
 
     def test_lse_d_self_hit(self):
         params = make_params(ModelKind.LSE_D, seed=23)
@@ -341,6 +343,38 @@ class TestAllEntityEnergies:
         heads = all_entity_energies(params, "head", anchors, rels, 1)
         want = np.stack([all_head_energies(params, 1, a, 1) for a in anchors])
         assert np.array_equal(heads.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", DISTANCE_KINDS)
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    def test_residual_sign_leaves_energies_bitwise(self, kind, p_norm):
+        # the scan's tail residual is e - map(h), the negative of the
+        # training kernel's map(h) - e. Zeros of both signs in the tables,
+        # and rows equal to a mapped anchor, make entries of +0.0 and -0.0
+        params = make_params(kind, n_e=40, n_r=2, d=6, seed=42)
+        ents, table = params.entities, params.relations
+        rng = np.random.default_rng(42)
+        for values, share in ((ents, 0.4), (table, 0.2)):
+            values[rng.random(values.shape) < share / 2] = 0.0
+            values[rng.random(values.shape) < share / 2] = -0.0
+        table[..., 0] = 0.0  # an LSE map zeroes every row's first entry
+        anchors, rels = np.array([0, 1, 2]), np.array([0, 1, 0])
+        for i, (a, r) in enumerate(zip(anchors, rels)):
+            # query i's tail anchor maps onto row 10 + i, and row 20 + i
+            # maps onto its head anchor
+            ents[a] = map_heads(params, ents, r)[20 + i]
+            ents[10 + i] = map_heads(params, ents[a], r)
+        for side, exact in (("tail", 10), ("head", 20)):
+            got = all_entity_energies(params, side, anchors, rels, p_norm)
+            want = np.stack([whole_table_energies(params, side, a, r, p_norm)
+                             for a, r in zip(anchors, rels)])
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64))
+            assert not got[np.arange(3), exact + np.arange(3)].any()
+        # the scan's tail residuals hold zeros of both signs
+        mapped = np.stack([map_heads(params, ents[a], r)
+                           for a, r in zip(anchors, rels)])
+        zeros = np.signbit((ents - mapped[:, None])[ents == mapped[:, None]])
+        assert zeros.any() and not zeros.all()
 
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError, match="side"):

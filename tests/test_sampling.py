@@ -86,7 +86,8 @@ class TestCorrupt:
         rng = np.random.default_rng(0)
         raw = [(f"e{a}", "r", f"e{b}")
                for a, b in rng.integers(0, 30, size=(60, 2))]
-        ds = build_dataset(raw)
+        with pytest.warns(UserWarning, match="dropped 2 duplicate"):
+            ds = build_dataset(raw)
         idx = build_filter_index([ds.train])
         sampler = make_sampler(n_e=ds.vocabulary.n_e, k=8, filter_index=idx,
                                filter_false_negatives=True)

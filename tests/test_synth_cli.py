@@ -312,6 +312,27 @@ class TestCliEval:
         # every shard is still ranked
         assert metrics[0] == metrics[1]
 
+    def test_no_shard_is_empty(self, monkeypatch, capsys, synth_dir,
+                               trained_dir, tmp_path):
+        out, _ = trained_dir
+        calls, cli_evaluate = [], cli.evaluate
+
+        def counting_evaluate(params, triples, *args):
+            calls.append(len(triples))
+            return cli_evaluate(params, triples, *args)
+
+        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+        metrics = []
+        for n in ("1", "1000"):
+            calls.clear()
+            assert main(["eval", "--checkpoint", str(out / "lse_d.ckpt"),
+                         "--data", str(synth_dir), "--threads", n,
+                         "--out", str(tmp_path / n)]) == 0
+            metrics.append((tmp_path / n / "metrics.txt").read_bytes())
+        n_test = len(load_split(synth_dir / "test.txt"))
+        assert len(calls) <= n_test and all(calls) and sum(calls) == n_test
+        assert metrics[0] == metrics[1]
+
     def test_test_flag_is_the_test_filter_split(self, synth_dir,
                                                 trained_dir, tmp_path):
         out, _ = trained_dir
