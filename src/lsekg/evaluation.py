@@ -69,19 +69,6 @@ def _count_ranks(energies: np.ndarray, truths: np.ndarray,
     return raw, _tie_rank(better, equal, tie_policy)
 
 
-def _raw_and_filtered_ranks(energies: np.ndarray, truth: int,
-                            known: np.ndarray,
-                            tie_policy: str) -> tuple[float, float]:
-    """The raw and the filtered rank of one query: a batch of one of
-    `_count_ranks`. `known`, an int array of distinct ids, may hold the
-    truth itself, which is never counted."""
-    known = np.asarray(known, np.int64)
-    raw, filtered = _count_ranks(
-        np.asarray(energies)[None], np.array([truth]),
-        np.zeros(len(known), np.intp), known, tie_policy)
-    return float(raw[0]), float(filtered[0])
-
-
 def rank_of_truth(energies: np.ndarray, truth: int,
                   mask=None, tie_policy: str = "mean") -> float:
     """Rank of `truth` in an ascending-energy ordering of the candidates.
@@ -89,7 +76,8 @@ def rank_of_truth(energies: np.ndarray, truth: int,
     Candidates in `mask` (other known-true entities, filtered setting) are
     excluded. Ties with the truth contribute 0 (optimistic), all
     (pessimistic), or half (mean, the default) to the rank. A NaN energy
-    ranks as +inf.
+    ranks as +inf. This is the filtered rank of a batch of one of
+    `_count_ranks`, which `evaluate` counts with.
     """
     _check_tie_policy(tie_policy)
     energies = np.asarray(energies)
@@ -100,8 +88,10 @@ def rank_of_truth(energies: np.ndarray, truth: int,
         masked[list(mask)] = True
         if masked[truth]:
             raise ConsistencyError("truth must not be masked")
-    return _raw_and_filtered_ranks(energies, truth, np.flatnonzero(masked),
-                                   tie_policy)[1]
+    known = np.flatnonzero(masked)
+    return float(_count_ranks(energies[None], np.array([truth]),
+                              np.zeros(len(known), np.intp), known,
+                              tie_policy)[1][0])
 
 
 @dataclass(frozen=True)

@@ -157,19 +157,6 @@ def init_params(kind: ModelKind, n_e: int, n_r: int, d: int,
 # 2,048.
 _BLOCK_ROWS = 512
 
-# `_segment_sum` adds by sorted slices when the rows have at least this many
-# columns and the ids at least this many rows each on average, and by
-# occurrence layers when its layers hold at least this many rows each on
-# average. On a 2-core VM, 60,000 rows of 11 ids took 17 ms by slices and
-# 31 ms by bincount at d = 100, but 12 and 9 ms at d = 32; at d = 100, 30
-# rows an id tied. 1,172 rows of 50 ids at d = 32 (35 layers of 33 rows
-# on average, a `memorize-lse` step) took 0.33 ms by layers and 0.17 ms by
-# bincount, while 66,560 rows of 23,005 ids at d = 100 (105 layers of 634
-# rows, a `wnshape-lse_d` step) took 13 ms by layers and 43 ms by
-# bincount. It must stay above 1: along a single column `sum(axis=0)`
-# adds pairwise.
-_SLICE_MIN = 64
-
 
 class Workspace:
     """Named buffers that the training kernels write into, kept from one
@@ -373,27 +360,25 @@ def _segment_sum(ids: np.ndarray, rows: np.ndarray,
     Every sum adds its rows in input order, starting from +0.0, so it is
     bitwise the one that `np.add.at` into zeros gives. One sort of the
     distinct keys id·N + position orders the rows stably by id, then one of
-    three paths adds them:
+    two paths adds them, the one with the shorter Python loop:
 
-    - by slices, when the rows have at least `_SLICE_MIN` columns and the
-      ids at least `_SLICE_MIN` rows each on average, as a batch's
-      relations do. `sum(axis=0)` adds the rows of a C-ordered (m, d)
-      gather one after another; along a single column it would sum
-      pairwise.
-    - by occurrence layers, when the layers hold at least `_SLICE_MIN`
-      rows each on average, as a batch's entities do; there are as many
-      layers as the deepest id has rows. Each id starts from its first
-      row; layer j adds the j-th row of every id with more than j rows.
-      With those ids ordered by depth, most rows first, a layer's ids are
-      a prefix, so a layer is one gather into a `workspace` buffer and one
-      add in place. The ids go in blocks of `_BLOCK_ROWS`, so the two
-      buffers stay in cache and keep their size from call to call.
-    - otherwise by one `np.bincount` over (id, column) slots, built in
-      `workspace`, which adds its weights in input order.
+    - by slices, one iteration per id, when there are no more ids than
+      the deepest id has rows, as in a batch's relations and a small
+      graph's entities. `sum(axis=0)` adds the rows of a C-ordered (m, d)
+      gather one after another; along a single column (d = 1) it would sum
+      pairwise, so d = 1 never takes this path.
+    - otherwise by occurrence layers, one iteration per layer, as in the
+      entities of a batch from a large graph; there are as many layers as
+      the deepest id has rows. Each id starts from its first row; layer j
+      adds the j-th row of every id with more than j rows. With those ids
+      ordered by depth, most rows first, a layer's ids are a prefix, so a
+      layer is one gather into a `workspace` buffer and one add in place.
+      The ids go in blocks of `_BLOCK_ROWS`, so the two buffers stay in
+      cache and keep their size from call to call.
 
-    The first two start from each id's first row, and `+= 0.0` turns the
-    -0.0 that this gives for an id of only -0.0 rows into the +0.0 of a sum
-    from zero.
+    Both start from each id's first row, and `+= 0.0` turns the -0.0 that
+    this gives for an id of only -0.0 rows into the +0.0 of a sum from
+    zero.
     """
     ws = Workspace() if workspace is None else workspace
     n, d = rows.shape
@@ -410,12 +395,12 @@ def _segment_sum(ids: np.ndarray, rows: np.ndarray,
     edges = np.flatnonzero(bounds)
     starts, counts = edges[:-1], np.diff(edges)
     uniq = sorted_ids[starts]
-    if d >= _SLICE_MIN and n >= _SLICE_MIN * len(uniq):
+    if d > 1 and len(uniq) <= counts.max():
         sums = np.empty((len(uniq), d))
         edges = edges.tolist()
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
             rows[order[lo:hi]].sum(axis=0, out=sums[i])
-    elif n >= _SLICE_MIN * counts.max():
+    else:
         sums = np.take(rows, order[starts], axis=0)
         # the ids of more than one row, deepest first
         deep = np.flatnonzero(counts > 1)
@@ -435,14 +420,6 @@ def _segment_sum(ids: np.ndarray, rows: np.ndarray,
                         mode="clip", out=layer[:width])
                 acc[:width] += layer[:width]
             sums[block] = acc
-    else:
-        inv = np.empty(n, np.intp)
-        inv[order] = np.repeat(np.arange(len(uniq)), counts)
-        slots = np.add((inv * d)[:, None], np.arange(d),
-                       out=ws.buffer("slots", (n, d), np.intp))
-        sums = np.bincount(slots.ravel(), weights=rows.ravel(),
-                           minlength=len(uniq) * d)
-        return uniq, sums.reshape(len(uniq), d)
     sums += 0.0
     return uniq, sums
 
@@ -516,7 +493,8 @@ def all_entity_energies(params: Parameters, side: str, anchors, rels,
             energies[sel] = all_entity_energies(params, side, anchors[sel],
                                                 rels[sel], p)
         return energies
-    (n_e, d), step = ents.shape, max(1, _BLOCK_ROWS // q)
+    # with no queries, each block's slices hold no residuals
+    (n_e, d), step = ents.shape, max(1, _BLOCK_ROWS // max(q, 1))
     head = side == "head"
     vecs = np.tile(params.relations[rels], step) if head and not lse else None
     mapped = np.empty((min(_BLOCK_ROWS, n_e), d)) if head and lse else None

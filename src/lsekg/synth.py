@@ -40,10 +40,6 @@ class SynthSplits:
                     f.write(f"{h}\t{r}\t{t}\n")
 
 
-def _entity(i: int) -> str:
-    return f"e{i}"
-
-
 def _sample_pairs(rng: np.random.Generator, n_entities: int,
                   n_pairs: int, ordered: bool) -> list[tuple[int, int]]:
     """Distinct entity pairs (a, b), a != b; unordered pairs are canonical
@@ -79,7 +75,7 @@ def _split_holdout(entailed: list[RawTriple], holdout: float,
 
 
 def generate(pattern: str, n_entities: int, n_facts: int,
-             holdout: float, seed: int, entity_offset: int = 0,
+             holdout: float, seed: int,
              relation_prefix: str = "r") -> SynthSplits:
     """Generate one pattern graph.
 
@@ -95,18 +91,13 @@ def generate(pattern: str, n_entities: int, n_facts: int,
         raise InputError("holdout must be in (0, 1)")
     rng = substream(seed, "synth")
 
-    def ent(i: int) -> str:
-        return _entity(entity_offset + i)
-
     if pattern == "mixed":
         third = max(1, n_facts // 3)
         parts = [
-            generate("symmetric", n_entities, third, holdout, seed,
-                     entity_offset, "sym_"),
-            generate("inverse", n_entities, third, holdout, seed + 1,
-                     entity_offset, "inv_"),
+            generate("symmetric", n_entities, third, holdout, seed, "sym_"),
+            generate("inverse", n_entities, third, holdout, seed + 1, "inv_"),
             generate("composition", n_entities, n_facts - 2 * third, holdout,
-                     seed + 2, entity_offset, "comp_"),
+                     seed + 2, "comp_"),
         ]
         return SynthSplits(
             train=[t for p in parts for t in p.train],
@@ -117,13 +108,13 @@ def generate(pattern: str, n_entities: int, n_facts: int,
     if pattern == "symmetric":
         r0 = f"{relation_prefix}0"
         base = _sample_pairs(rng, n_entities, n_facts, ordered=False)
-        train = [(ent(a), r0, ent(b)) for a, b in base]
-        entailed = [(ent(b), r0, ent(a)) for a, b in base]
+        train = [(f"e{a}", r0, f"e{b}") for a, b in base]
+        entailed = [(f"e{b}", r0, f"e{a}") for a, b in base]
     elif pattern == "inverse":
         r0, r1 = f"{relation_prefix}0", f"{relation_prefix}1"
         base = _sample_pairs(rng, n_entities, n_facts, ordered=True)
-        train = [(ent(a), r0, ent(b)) for a, b in base]
-        entailed = [(ent(b), r1, ent(a)) for a, b in base]
+        train = [(f"e{a}", r0, f"e{b}") for a, b in base]
+        entailed = [(f"e{b}", r1, f"e{a}") for a, b in base]
     else:  # composition
         r0, r1, r2 = (f"{relation_prefix}{i}" for i in range(3))
         paths: set[tuple[int, int, int]] = set()
@@ -137,8 +128,8 @@ def generate(pattern: str, n_entities: int, n_facts: int,
                 continue
             paths.add((int(a), int(b), int(c)))
         ordered_paths = sorted(paths)
-        train = [(ent(a), r0, ent(b)) for a, b, _ in ordered_paths]
-        train += [(ent(b), r1, ent(c)) for _, b, c in ordered_paths]
+        train = [(f"e{a}", r0, f"e{b}") for a, b, _ in ordered_paths]
+        train += [(f"e{b}", r1, f"e{c}") for _, b, c in ordered_paths]
         train = list(dict.fromkeys(train))  # paths may share edges
         # label the whole two-hop closure of the emitted edges, not just
         # the sampled paths: filtered ranking counts every unlabelled
@@ -148,7 +139,7 @@ def generate(pattern: str, n_entities: int, n_facts: int,
             successors.setdefault(b, []).append(c)
         closure = sorted({(a, c) for a, b, _ in ordered_paths
                           for c in successors[b] if a != c})
-        entailed = [(ent(a), r2, ent(c)) for a, c in closure]
+        entailed = [(f"e{a}", r2, f"e{c}") for a, c in closure]
 
     kept, valid, test = _split_holdout(entailed, holdout, rng)
     return SynthSplits(train=train + kept, valid=valid, test=test)

@@ -1,14 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import lsekg.evaluation
 from lsekg import ConsistencyError
 from lsekg.data import build_filter_index
 from lsekg.evaluation import (TIE_POLICIES, MetricBlock, Metrics,
-                              RankRecord, _raw_and_filtered_ranks, aggregate,
+                              RankRecord, _count_ranks, aggregate,
                               evaluate, parse_structured, rank_of_truth,
                               report)
 from lsekg.models import (ModelKind, all_head_energies, all_tail_energies,
@@ -73,15 +74,66 @@ def ranking_queries(draw):
     return energies, truth, known
 
 
+def brute_force_ranks(energies: list, truth: int, known, tie_policy: str
+                      ) -> tuple[float, float]:
+    """The raw and the filtered rank of `truth`, counted over the
+    candidates one by one. A NaN energy counts as +inf; a candidate better
+    than the truth adds 1, a tied one 0, 1 or 1/2 by the tie policy; the
+    filtered rank skips the known ids other than the truth."""
+    def value(e):
+        return math.inf if math.isnan(e) else e
+
+    ranks = []
+    for skipped in (set(), set(known)):
+        better = tied = 0
+        for i, e in enumerate(energies):
+            if i != truth and i not in skipped:
+                better += value(e) < value(energies[truth])
+                tied += value(e) == value(energies[truth])
+        ranks.append(1.0 + better + {"optimistic": 0, "pessimistic": tied,
+                                     "mean": tied / 2}[tie_policy])
+    return ranks[0], ranks[1]
+
+
+@st.composite
+def ranking_batches(draw):
+    """A (Q, n) energy array with ties, signed zeros, +-inf and NaNs, a
+    truth per row and a known-true set per row that may hold the truth."""
+    q, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    values = draw(st.lists(st.sampled_from(
+        [0.0, -0.0, 0.5, 1.0, -2.0, np.inf, -np.inf, np.nan]),
+        min_size=q * n, max_size=q * n))
+    truths = draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))
+    known = [draw(st.frozensets(st.integers(0, n - 1))) for _ in range(q)]
+    return np.array(values).reshape(q, n), np.array(truths), known
+
+
 class TestOnePassRanks:
     @given(ranking_queries(), st.sampled_from(TIE_POLICIES))
     def test_equal_rank_of_truth(self, query, tie_policy):
         energies, truth, known = query
-        assert _raw_and_filtered_ranks(energies, truth,
-                                       np.array(sorted(known), np.int64),
-                                       tie_policy) == (
+        ids = np.array(sorted(known), np.int64)
+        raw, filtered = _count_ranks(energies[None], np.array([truth]),
+                                     np.zeros(len(ids), np.intp), ids,
+                                     tie_policy)
+        assert (float(raw[0]), float(filtered[0])) == (
             rank_of_truth(energies, truth, None, tie_policy),
             rank_of_truth(energies, truth, known - {truth}, tie_policy))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_batches(), st.sampled_from(TIE_POLICIES))
+    def test_equal_brute_force(self, batch, tie_policy):
+        energies, truths, known = batch
+        # the known pairs unsorted, as a chunk's filter lists may come
+        pairs = np.array([(i, k) for i, ids in enumerate(known)
+                          for k in ids], np.int64).reshape(-1, 2)
+        pairs = np.random.default_rng(len(truths)).permutation(pairs)
+        raw, filtered = _count_ranks(energies, truths, pairs[:, 0],
+                                     pairs[:, 1], tie_policy)
+        assert list(zip(raw.tolist(), filtered.tolist())) == [
+            brute_force_ranks(row, truth, ids, tie_policy)
+            for row, truth, ids in zip(energies.tolist(), truths.tolist(),
+                                       known)]
 
 
 class TestMetricArithmetic:

@@ -376,6 +376,14 @@ class TestAllEntityEnergies:
         zeros = np.signbit((ents - mapped[:, None])[ents == mapped[:, None]])
         assert zeros.any() and not zeros.all()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("side", ["tail", "head"])
+    @pytest.mark.parametrize("n_e", [0, 50, 2 * _BLOCK_ROWS + 7])
+    def test_no_queries_give_no_rows(self, kind, side, n_e):
+        params = make_params(kind, n_e=n_e, n_r=2, d=5)
+        energies = all_entity_energies(params, side, [], [])
+        assert energies.shape == (0, n_e) and energies.dtype == np.float64
+
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
             all_entity_energies(make_params(ModelKind.LSE_D), "middle",

@@ -346,8 +346,8 @@ def test_segment_sum_matches_add_at_bitwise():
                           rng.normal(size=(2000, 6)))
 
     # unsorted ids with -0.0 rows, an id of only -0.0 rows and ids of one
-    # row, summed by slices (wide rows, few ids), by layers (many ids) and
-    # by bincount (narrow rows of few ids)
+    # row, summed by slices (few ids), by layers (many ids) and by layers
+    # again (few ids, but one column)
     for n_ids, d in ((4, 64), (300, 64), (4, 1)):
         ids = rng.permutation(np.concatenate([
             rng.integers(0, n_ids, size=600), [n_ids + 3, n_ids + 7]]))
@@ -360,10 +360,22 @@ def test_segment_sum_matches_add_at_bitwise():
 
 def segment_sum_path(workspace: Workspace) -> str:
     """The path a `_segment_sum` call took, told by the buffers it left in
-    its workspace."""
-    return {frozenset(): "slices", frozenset({"slots"}): "bincount",
+    its workspace. A call by layers whose ids have one row each adds no
+    layer and leaves none, so it reads as "slices"."""
+    return {frozenset(): "slices",
             frozenset({"layer_sums", "layer_rows"}): "layers"}[
         frozenset(workspace._buffers)]
+
+
+def rule_path(ids: np.ndarray, d: int) -> str:
+    """The path that `_segment_sum`'s rule names for the ids, as
+    `segment_sum_path` tells it: slices for more than one column and no
+    more ids than the deepest id has rows, layers otherwise. No rows, or
+    ids of one row each, leave no buffer on either path."""
+    counts = np.unique(ids, return_counts=True)[1]
+    deepest = counts.max(initial=0)
+    by_slices = d > 1 and len(counts) <= deepest
+    return "slices" if by_slices or deepest <= 1 else "layers"
 
 
 def power_law_ids(rng, n_ids: int, n_rows: int) -> np.ndarray:
@@ -393,10 +405,9 @@ def test_segment_sum_adds_power_law_ids_by_layers():
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("shape", ["few deep ids", "power law",
                                    "one id of half the rows"])
-def test_segment_sum_narrow_rows_on_every_path(monkeypatch, shape, d):
-    # with `_SLICE_MIN` at 2, d = 2 rows can take the slice path; d = 1
-    # rows never may, since `sum(axis=0)` adds a single column pairwise
-    monkeypatch.setattr(lsekg.models, "_SLICE_MIN", 2)
+def test_segment_sum_narrow_rows_on_every_path(shape, d):
+    # d = 2 rows can take the slice path; d = 1 rows never may, since
+    # `sum(axis=0)` adds a single column pairwise
     rng = np.random.default_rng(31)
     if shape == "few deep ids":
         ids = rng.integers(0, 4, size=600)
@@ -404,10 +415,10 @@ def test_segment_sum_narrow_rows_on_every_path(monkeypatch, shape, d):
     elif shape == "power law":
         ids = power_law_ids(rng, 5000, 3000)
         path = "layers"
-    else:  # layers of fewer than 2 rows on average, ids of 2 rows
+    else:  # 100 ids, the deepest of 100 rows: as many ids as layers
         ids = rng.permutation(np.concatenate([np.zeros(100, int),
                                               np.arange(1, 100)]))
-        path = "bincount"
+        path = "slices" if d == 2 else "layers"
     rows = rng.normal(size=(len(ids), d))
     rows[rng.random(len(ids)) < 0.1] = -0.0
     rows[ids == ids[0]] = -0.0
@@ -421,11 +432,13 @@ def test_segment_sum_of_no_rows(d):
     assert_sums_as_add_at(np.zeros(0, np.int64), np.zeros((0, d)))
 
 
-def test_segment_sum_by_layers_builds_no_slot_index():
+@pytest.mark.parametrize("path", ["layers", "slices"])
+def test_segment_sum_builds_no_slot_index(path):
     # a slot index alone would be n·d·8 bytes
     rng = np.random.default_rng(37)
     n, d = 20_000, 64
-    ids = power_law_ids(rng, 2000, n)
+    ids = (power_law_ids(rng, 2000, n) if path == "layers"
+           else rng.integers(0, 40, size=n))
     rows = rng.normal(size=(n, d))
     ws = Workspace()
     tracemalloc.start()
@@ -434,8 +447,50 @@ def test_segment_sum_by_layers_builds_no_slot_index():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert segment_sum_path(ws) == "layers"
+    assert segment_sum_path(ws) == path
     assert peak < n * d * 8 / 2
+
+
+@st.composite
+def segment_sum_inputs(draw):
+    """Unsorted ids and rows with +0.0 and -0.0 entries. The ids run from
+    one deep id to all distinct, and include as many ids as the deepest id
+    has rows, and one more."""
+    d = draw(st.sampled_from([1, 2, 3, 32, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["drawn", "all distinct",
+                                  "as many ids as layers",
+                                  "one id more than layers"]))
+    if shape == "drawn":  # one id when n_ids is 1
+        n = draw(st.integers(0, 700))
+        n_ids = draw(st.integers(1, max(1, n)))
+        ids = rng.integers(0, n_ids, size=n)
+    elif shape == "all distinct":
+        ids = np.arange(draw(st.integers(0, 700)))
+    else:  # k ids or k + 1 ids, the deepest of k rows and none deeper
+        k = draw(st.integers(1, 26))
+        n_ids = k + (shape == "one id more than layers")
+        ids = np.repeat(np.arange(n_ids),
+                        np.r_[k, rng.integers(1, k + 1, size=n_ids - 1)])
+    # sparse, unsorted labels
+    ids = rng.permutation(rng.choice(10 * len(ids) + 1, size=len(ids) + 1,
+                                     replace=False)[ids])
+    rows = rng.normal(size=(len(ids), d))
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[rng.random(len(ids)) < 0.1] = -0.0
+    if len(ids):  # an id of only -0.0 rows
+        rows[ids == ids[0]] = -0.0
+    return ids, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_sum_inputs())
+def test_segment_sum_takes_the_shorter_loop_bitwise(inputs):
+    ids, rows = inputs
+    ws = Workspace()
+    assert_sums_as_add_at(ids, rows, ws)
+    assert segment_sum_path(ws) == rule_path(ids, rows.shape[1])
 
 
 def test_active_rows_returns_a_full_batch_uncopied():
