@@ -1,7 +1,7 @@
 """Triple files, vocabularies, filter indexes, and per-relation statistics.
 
 Triple files are plain UTF-8 TSV: one `head<TAB>relation<TAB>tail` per line,
-no header, LF or CRLF endings — the format the FB15k / FB15k-237 / WN18 /
+no header, LF, CRLF or CR endings — the format the FB15k / FB15k-237 / WN18 /
 WN18RR distributions use.
 """
 
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, cycle, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,15 +41,21 @@ class Vocabulary:
         """Raw triples as an (n, 3) int64 array of (head, relation, tail)
         ids. Raises `ConsistencyError` naming the first triple outside the
         vocabulary."""
-        ent, rel = self.entity_to_id, self.relation_to_id
+        tables = (self.entity_to_id, self.relation_to_id, self.entity_to_id)
+        ids = np.empty((len(raw), 3), np.int64)
         try:
-            ids = [(ent[h], rel[r], ent[t]) for h, r, t in raw]
+            for column, table in enumerate(tables):
+                ids[:, column] = np.fromiter(
+                    map(table.__getitem__, map(itemgetter(column), raw)),
+                    np.int64, len(raw))
         except KeyError:
-            h, r, t = next(x for x in raw if not (
-                x[0] in ent and x[1] in rel and x[2] in ent))
+            # the first name missing from its table, in row-major order
+            known = map(dict.__contains__, cycle(tables),
+                        chain.from_iterable(raw))
+            h, r, t = raw[list(known).index(False) // 3]
             raise ConsistencyError(
                 f"triple ({h}, {r}, {t}) is outside the vocabulary") from None
-        return np.array(ids, np.int64).reshape(-1, 3)
+        return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,27 +72,69 @@ class Dataset:
 
 def load_split(path) -> list[RawTriple]:
     """Read one TSV split file into raw string triples, order preserved.
-    A leading byte-order mark is dropped; an empty field is an error."""
-    triples: list[RawTriple] = []
+
+    Lines end at LF, CRLF or a lone CR, and a leading byte-order mark is
+    dropped. A blank or whitespace-only line is skipped, and each field is
+    stripped of whitespace. The first other line, in file order, that does
+    not hold 3 tab-separated fields or holds an empty one raises
+    `InputError` naming it.
+
+    The file is read and decoded in one call, and each step below is one
+    C-level pass over all lines or all fields.
+    """
     try:
         with open(path, encoding="utf-8-sig") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\r\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise InputError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, "
-                        f"got {len(fields)}")
-                h, r, t = (x.strip() for x in fields)
-                if not (h and r and t):
-                    raise InputError(
-                        f"{path}:{lineno}: empty head, relation or tail")
-                triples.append((h, r, t))
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read triple file {path}: {exc}") from exc
-    return triples
+    # text mode turns CRLF and CR into LF; `splitlines` would also break
+    # at other characters, such as \x0b, \x1c and \u2028
+    lines = text.split("\n")
+    rows = list(compress(lines, map(str.strip, lines)))
+    if not rows:
+        return []
+    tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64,
+                       len(rows))
+    fields = list(map(str.strip, "\t".join(rows).split("\t")))
+    if (tabs == 2).all() and "" not in fields:
+        return list(zip(fields[0::3], fields[1::3], fields[2::3]))
+    # the first row of a wrong field count, and the row of the first empty
+    # field; a row that breaks both rules reports its field count
+    miscounted = tabs != 2
+    wrong = int(miscounted.argmax()) if miscounted.any() else len(rows)
+    empty = (int(np.searchsorted(np.cumsum(tabs + 1), fields.index(""),
+                                 "right")) if "" in fields else len(rows))
+    row = min(wrong, empty)
+    lineno = next(islice(compress(count(1), map(str.strip, lines)), row,
+                         None))
+    if row == wrong:
+        raise InputError(f"{path}:{lineno}: expected 3 tab-separated "
+                         f"fields, got {int(tabs[row]) + 1}")
+    raise InputError(f"{path}:{lineno}: empty head, relation or tail")
+
+
+def distinct(values) -> np.ndarray:
+    """The distinct values of an integer array, flattened and ascending:
+    `np.unique(values)`, by one sort and a neighbour mask. numpy 2.4.6's
+    `np.unique` hashes instead, and is about 20 times as slow on 87k int64
+    keys (tests/test_dependencies.py has the figures)."""
+    values = np.sort(values, axis=None)
+    keep = np.empty(len(values), bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def first_occurrences(values) -> np.ndarray:
+    """Where each distinct value of a 1-d integer array first occurs, in
+    ascending order of value: `np.unique(values, return_index=True)[1]`, by
+    one argsort and the least position of each run of equal values."""
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.empty(len(values), bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return np.minimum.reduceat(order, np.flatnonzero(starts))
 
 
 def _tail_major_keys(triples: np.ndarray, n_e: int, n_r: int) -> np.ndarray:
@@ -114,7 +164,7 @@ def encode_split(vocabulary: Vocabulary, raw: Sequence[RawTriple],
     except ConsistencyError as exc:
         raise ConsistencyError(f"split {name!r}: {exc}") from None
     keys = _tail_major_keys(ids, vocabulary.n_e, vocabulary.n_r)
-    first = np.unique(keys, return_index=True)[1]
+    first = first_occurrences(keys)
     dropped = len(ids) - len(first)
     if dropped:
         warnings.warn(f"split {name!r}: dropped {dropped} duplicate triples")
@@ -132,15 +182,16 @@ def build_dataset(train: Iterable[RawTriple],
     """
     splits = {"train": list(train), "valid": list(valid), "test": list(test)}
 
-    entity_to_id: dict[str, int] = {}
-    relation_to_id: dict[str, int] = {}
-    for raw in splits.values():
-        for h, r, t in raw:
-            for e in (h, t):
-                if e not in entity_to_id:
-                    entity_to_id[e] = len(entity_to_id)
-            if r not in relation_to_id:
-                relation_to_id[r] = len(relation_to_id)
+    # every name in order of first appearance: a triple's head before its
+    # tail, the splits in turn
+    triples = list(chain.from_iterable(splits.values()))
+    names = [None] * (2 * len(triples))
+    names[0::2] = map(itemgetter(0), triples)
+    names[1::2] = map(itemgetter(2), triples)
+    entities = dict.fromkeys(names)
+    relations = dict.fromkeys(map(itemgetter(1), triples))
+    entity_to_id = dict(zip(entities, range(len(entities))))
+    relation_to_id = dict(zip(relations, range(len(relations))))
     vocab = Vocabulary(
         entity_to_id=entity_to_id,
         id_to_entity=tuple(entity_to_id),
@@ -283,8 +334,8 @@ def build_filter_index(splits: Iterable,
     n_r = int(r.max(initial=-1)) + 1
     return FilterIndex(
         n_e=n_e, n_r=n_r,
-        tail_keys=np.unique(_tail_major_keys(triples, n_e, n_r)),
-        head_keys=np.unique((r * n_e + t) * n_e + h),
+        tail_keys=distinct(_tail_major_keys(triples, n_e, n_r)),
+        head_keys=distinct((r * n_e + t) * n_e + h),
         source_splits=tuple(names),
     )
 
@@ -322,8 +373,8 @@ def compute_bernoulli_stats(train: np.ndarray) -> dict[int, RelationStats]:
     n_r = int(r.max(initial=-1)) + 1
     # the triples, distinct heads and distinct tails of each relation
     n, heads, tails = (np.bincount(keys % n_r, minlength=n_r).tolist()
-                       for keys in (r, np.unique(h * n_r + r),
-                                    np.unique(t * n_r + r)))
+                       for keys in (r, distinct(h * n_r + r),
+                                    distinct(t * n_r + r)))
     return {rel: RelationStats(relation=rel, n_triples=n[rel],
                                tph=n[rel] / heads[rel],
                                hpt=n[rel] / tails[rel])

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from lsekg import ConsistencyError
-from lsekg.data import INVERSE_THRESHOLD, RelationStats
+from lsekg.data import INVERSE_THRESHOLD, RelationStats, distinct
 from lsekg.seeding import substream
 
 
@@ -216,7 +216,7 @@ def map_heads(params: Parameters, rows: np.ndarray, rels, ids=None,
     pairs, inv = np.unique(rels * len(rows) + ids, return_inverse=True)
     pair_rels, pair_ids = np.divmod(pairs, len(rows))
     mapped = np.empty((len(pairs), rows.shape[1]))
-    for r in np.unique(pair_rels):
+    for r in distinct(pair_rels):
         sel = pair_rels == r
         mapped[sel] = rows[pair_ids[sel]] @ mats[r]
     # every inverse index is in range: "clip" spares the copy through a
@@ -335,7 +335,7 @@ def _batch_gradients(params: Parameters, triples: np.ndarray,
             np.multiply(s, c, out=g_rel[lo:hi])
 
     if kind.uses_matrix:
-        uniq_r = np.unique(rels)
+        uniq_r = distinct(rels)
         acc_r = np.empty((len(uniq_r), d, d))
         for i, r in enumerate(uniq_r):
             sel = rels == r
@@ -383,7 +383,7 @@ def _segment_sum(ids: np.ndarray, rows: np.ndarray,
     ws = Workspace() if workspace is None else workspace
     n, d = rows.shape
     if not n:
-        return np.unique(ids), np.zeros((0, d))
+        return distinct(ids), np.zeros((0, d))
     keys = np.multiply(ids, n, dtype=np.int64)
     keys += np.arange(n)
     keys.sort()
@@ -484,7 +484,7 @@ def all_entity_energies(params: Parameters, side: str, anchors, rels,
         energies = np.matmul(ents, mapped[:, :, None])[:, :, 0]
         return np.negative(energies, out=energies)
     lse = kind is ModelKind.LSE
-    if lse and len(uniq := np.unique(rels)) != 1:
+    if lse and len(uniq := distinct(rels)) != 1:
         # one relation at a time, so that no (Q, d, d) gather of matrices
         # and no mapped block per relation is held at once
         energies = np.empty((q, len(ents)))

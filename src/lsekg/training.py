@@ -24,7 +24,7 @@ import numpy as np
 
 from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import (Dataset, Vocabulary, build_filter_index,
-                        compute_bernoulli_stats)
+                        compute_bernoulli_stats, distinct)
 from lsekg.evaluation import evaluate
 # the batched forward and backward passes live with the models; the
 # benchmark's spans find them under these names too
@@ -346,7 +346,7 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                           "checkpoint")
             break
         if config.normalize_entities and kind is ModelKind.TRANSE:
-            rows = np.unique(flat[:, [0, 2]])
+            rows = distinct(flat[:, [0, 2]])
             norms = np.linalg.norm(params.entities[rows], axis=1,
                                    keepdims=True)
             params.entities[rows] /= np.maximum(norms, 1e-12)
@@ -451,8 +451,8 @@ def _meta_int(meta: dict, key: str, minimum: int) -> int:
 def _meta_names(vocabulary, key: str, count: int) -> dict[str, int]:
     """{name: id} of a vocabulary list of `count` distinct strings."""
     names = vocabulary[key]
-    ids = ({x: i for i, x in enumerate(names)} if isinstance(names, list)
-           and all(isinstance(x, str) for x in names) else {})
+    ids = (dict(zip(names, range(len(names)))) if isinstance(names, list)
+           and set(map(type, names)) <= {str} else {})
     if len(ids) != count or len(names) != count:
         raise ConsistencyError(f"corrupt checkpoint metadata: vocabulary "
                                f"{key} are not {count} distinct names")

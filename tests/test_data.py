@@ -1,14 +1,17 @@
 import dataclasses
+import re
 import warnings
 from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsekg import ConsistencyError, InputError
 from lsekg.data import (INVERSE_THRESHOLD, build_dataset, build_filter_index,
-                        compute_bernoulli_stats, detect_patterns, load_split)
+                        compute_bernoulli_stats, detect_patterns, distinct,
+                        first_occurrences, load_split)
 from lsekg.synth import PATTERNS, generate
 
 
@@ -91,6 +94,81 @@ class TestLoadSplitFuzz:
         with pytest.raises(InputError, match="t.txt"):
             load_split(path)
 
+    def test_invalid_utf8_reported_before_any_line(self, tsv):
+        # the whole file is decoded first, so the offset counts from its
+        # start, and a bad line before the byte is not reached
+        path = tsv("t.txt", [b"a\tb\n", b"x\ty\tz\n" * 3000, b"\xff\n"])
+        with pytest.raises(InputError, match="cannot read triple file .*"
+                           "byte 0xff in position 18004"):
+            load_split(path)
+
+
+def per_line_load_split(path) -> list:
+    """`load_split` one line at a time: the reader that the one-pass
+    version replaced, kept as its oracle."""
+    triples = []
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\r\n")
+                if not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise InputError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, "
+                        f"got {len(fields)}")
+                h, r, t = (x.strip() for x in fields)
+                if not (h and r and t):
+                    raise InputError(
+                        f"{path}:{lineno}: empty head, relation or tail")
+                triples.append((h, r, t))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read triple file {path}: {exc}") from exc
+    return triples
+
+
+# whitespace that `str.strip` removes, and characters at which
+# `str.splitlines` would end a line but a text file does not
+_ODD = "\xa0\x0b\x1c\x85\u2028 "
+_FIELD = st.text(alphabet="ab\ufeff" + _ODD, max_size=4)
+_NAME = st.tuples(st.text(alphabet=_ODD, max_size=2),
+                  st.text(alphabet="ab\ufeff" + _ODD, min_size=1, max_size=3)
+                  .filter(str.strip),
+                  st.text(alphabet=_ODD, max_size=2)).map("".join)
+_LINE = st.one_of(
+    st.lists(_NAME, min_size=3, max_size=3),  # a triple
+    st.lists(_FIELD, min_size=1, max_size=5),  # any count, empty fields
+    st.just([""]),
+).map("\t".join) | st.text(alphabet="\t" + _ODD, max_size=3)  # blank
+_FILE = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])),
+             max_size=8),
+    st.booleans()).map(
+        lambda f: f[0] + "".join(line + end for line, end in f[1])
+        + ("tail\tof\tfile" if f[2] else ""))
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestOnePassReader:
+    @settings(max_examples=400, deadline=None)
+    @given(_FILE)
+    @example("a\t\tb\nc\tr\td\te\n")  # an empty field, then 4 fields
+    @example("a\tr\n c\tr\t \n")  # 2 fields, then an empty field
+    @example("a\tr\t\t\n")  # both on one line: the count is reported
+    @example("\ufeff\r\n \x0b\ta\x1cb\tc\u2028\rd\xa0\tr\te\r")
+    def test_equals_the_per_line_reader(self, fuzz_path, text):
+        fuzz_path.write_bytes(text.encode("utf-8"))
+        assert (_outcome(load_split, fuzz_path)
+                == _outcome(per_line_load_split, fuzz_path))
+
 
 class TestBuildDataset:
     def test_encode_decode_round_trip(self):
@@ -119,6 +197,19 @@ class TestBuildDataset:
         with pytest.warns(UserWarning, match="only in valid/test"):
             ds = build_dataset([("a", "r", "b")], test=[("x", "r", "y")])
         assert ds.vocabulary.n_e == 4
+
+    @pytest.mark.parametrize("raw, named", [
+        # an unknown tail before an unknown relation or head of a later
+        # triple, which a column read meets first
+        ([("a", "r", "b"), ("b", "r", "x"), ("a", "s", "b")], "(b, r, x)"),
+        ([("a", "r", "b"), ("a", "r", "x"), ("y", "r", "b")], "(a, r, x)"),
+        ([("a", "r", "b"), ("a", "r", "b"), ("a", "s", "y")], "(a, s, y)"),
+    ])
+    def test_encode_names_the_first_triple_outside(self, raw, named):
+        vocabulary = build_dataset([("a", "r", "b")]).vocabulary
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"triple {named} is outside")):
+            vocabulary.encode(raw)
 
     def test_splits_encoded_against_shared_vocab(self):
         ds = build_dataset([("a", "r", "b")], [("b", "r", "a")],
@@ -183,6 +274,30 @@ class TestBuildDatasetProperties:
              for name, n in dropped.items()]
             + [f"{len(unseen)} entities appear only in valid/test; they "
                "keep their (untrained) initial embeddings"] * bool(unseen))
+
+
+_INT64 = np.iinfo(np.int64)
+_KEYS = arrays(np.int64, st.integers(0, 40), elements=st.one_of(
+    st.integers(-3, 3), st.sampled_from([_INT64.min, _INT64.max]),
+    st.integers(_INT64.min, _INT64.max)))
+
+
+class TestSortBasedUnique:
+    @settings(max_examples=300, deadline=None)
+    @given(_KEYS)
+    @example(np.array([], np.int64))
+    @example(np.array([-5], np.int64))
+    @example(np.full(7, 4, np.int64))
+    @example(np.array([3, -1, _INT64.max, -1, _INT64.min, 3, _INT64.max]))
+    def test_equal_np_unique(self, values):
+        unique, first = np.unique(values, return_index=True)
+        for got, want in ((distinct(values), unique),
+                          (first_occurrences(values), first)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        # a 2-d array is flattened
+        pairs = values[:len(values) // 2 * 2].reshape(-1, 2)
+        assert np.array_equal(distinct(pairs), np.unique(pairs))
 
 
 class TestFilterIndex:
