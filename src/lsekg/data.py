@@ -22,12 +22,31 @@ RawTriple = tuple[str, str, str]
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense bidirectional entity/relation id maps shared by all splits."""
+    """Dense bidirectional entity/relation id maps shared by all splits.
 
-    entity_to_id: dict[str, int]
+    A name's id is its position in its tuple; `entity_to_id` and
+    `relation_to_id` are derived from the tuples. Raises `ConsistencyError`
+    unless each tuple holds distinct strings, the names a checkpoint can
+    store.
+    """
+
     id_to_entity: tuple[str, ...]
-    relation_to_id: dict[str, int]
     id_to_relation: tuple[str, ...]
+    entity_to_id: dict[str, int] = field(init=False, repr=False,
+                                         compare=False)
+    relation_to_id: dict[str, int] = field(init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        for what, names, attr in (
+                ("entities", self.id_to_entity, "entity_to_id"),
+                ("relations", self.id_to_relation, "relation_to_id")):
+            ids = dict(zip(names, range(len(names))))
+            if (len(ids) != len(names)
+                    or not all(map(isinstance, names, repeat(str)))):
+                raise ConsistencyError(f"vocabulary {what} are not "
+                                       f"{len(names)} distinct names")
+            object.__setattr__(self, attr, ids)
 
     @property
     def n_e(self) -> int:
@@ -178,7 +197,8 @@ def build_dataset(train: Iterable[RawTriple],
 
     The vocabulary is built from the union of all splits (first-appearance
     order). Duplicates within a split are dropped with a warning; entities
-    seen only in valid/test are retained but flagged.
+    seen only in valid/test are retained but flagged. A name that is not a
+    string raises `ConsistencyError` (`Vocabulary`).
     """
     splits = {"train": list(train), "valid": list(valid), "test": list(test)}
 
@@ -188,16 +208,8 @@ def build_dataset(train: Iterable[RawTriple],
     names = [None] * (2 * len(triples))
     names[0::2] = map(itemgetter(0), triples)
     names[1::2] = map(itemgetter(2), triples)
-    entities = dict.fromkeys(names)
-    relations = dict.fromkeys(map(itemgetter(1), triples))
-    entity_to_id = dict(zip(entities, range(len(entities))))
-    relation_to_id = dict(zip(relations, range(len(relations))))
-    vocab = Vocabulary(
-        entity_to_id=entity_to_id,
-        id_to_entity=tuple(entity_to_id),
-        relation_to_id=relation_to_id,
-        id_to_relation=tuple(relation_to_id),
-    )
+    vocab = Vocabulary(tuple(dict.fromkeys(names)),
+                       tuple(dict.fromkeys(map(itemgetter(1), triples))))
 
     encoded: dict[str, np.ndarray] = {}
     duplicates: dict[str, int] = {}
@@ -352,7 +364,6 @@ class RelationStats:
     linear-map diagnostics and the synthetic-graph checks.
     """
 
-    relation: int
     n_triples: int = 0
     tph: float = 0.0
     hpt: float = 0.0
@@ -375,8 +386,7 @@ def compute_bernoulli_stats(train: np.ndarray) -> dict[int, RelationStats]:
     n, heads, tails = (np.bincount(keys % n_r, minlength=n_r).tolist()
                        for keys in (r, distinct(h * n_r + r),
                                     distinct(t * n_r + r)))
-    return {rel: RelationStats(relation=rel, n_triples=n[rel],
-                               tph=n[rel] / heads[rel],
+    return {rel: RelationStats(n_triples=n[rel], tph=n[rel] / heads[rel],
                                hpt=n[rel] / tails[rel])
             for rel in range(n_r) if n[rel]}
 

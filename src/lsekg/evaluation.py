@@ -74,7 +74,8 @@ def rank_of_truth(energies: np.ndarray, truth: int,
     """Rank of `truth` in an ascending-energy ordering of the candidates.
 
     Candidates in `mask` (other known-true entities, filtered setting) are
-    excluded. Ties with the truth contribute 0 (optimistic), all
+    excluded; a truth or masked id outside the candidates raises
+    `ConsistencyError`. Ties with the truth contribute 0 (optimistic), all
     (pessimistic), or half (mean, the default) to the rank. A NaN energy
     ranks as +inf. This is the filtered rank of a batch of one of
     `_count_ranks`, which `evaluate` counts with.
@@ -85,7 +86,11 @@ def rank_of_truth(energies: np.ndarray, truth: int,
         raise ConsistencyError(f"truth id {truth} out of range")
     masked = np.zeros(energies.shape[0], dtype=bool)
     if mask is not None:
-        masked[list(mask)] = True
+        mask = list(mask)
+        outside = [i for i in mask if not 0 <= i < len(masked)]
+        if outside:
+            raise ConsistencyError(f"masked id {outside[0]} out of range")
+        masked[mask] = True
         if masked[truth]:
             raise ConsistencyError("truth must not be masked")
     known = np.flatnonzero(masked)
@@ -222,49 +227,36 @@ def evaluate(params: Parameters, eval_set,
                     tie_policy), records
 
 
-def _block_lines(prefix: str, block: MetricBlock) -> list[str]:
-    return [
-        f"{prefix}.mrr={block.mrr:.6f}",
-        f"{prefix}.mr={block.mr:.4f}",
-        f"{prefix}.hits1={block.hits1:.6f}",
-        f"{prefix}.hits3={block.hits3:.6f}",
-        f"{prefix}.hits10={block.hits10:.6f}",
-        f"{prefix}.n={block.n}",
-    ]
-
-
 def report(metrics: Metrics, format: str = "text") -> str:
     """Render metrics as a human-readable table or as key=value records."""
-    if format == "structured":
-        lines = [f"n={metrics.n_queries}",
-                 f"tie_policy={metrics.tie_policy}"]
-        for setting, block, by_side in (
-                ("raw", metrics.raw, metrics.raw_by_side),
-                ("filtered", metrics.filtered, metrics.filtered_by_side)):
-            if block is None:
-                continue
-            lines += _block_lines(setting, block)
-            for side, sblock in sorted(by_side.items()):
-                lines += _block_lines(f"{setting}.{side}", sblock)
-        return "\n".join(lines) + "\n"
-
-    if metrics.n_queries == 0:
-        return ("link prediction: no queries (empty evaluation set)\n"
-                f"tie policy: {metrics.tie_policy}\n")
-    lines = [f"link prediction over {metrics.n_queries} queries "
-             f"(tie policy: {metrics.tie_policy})",
-             f"{'':>16} {'MRR':>8} {'MR':>9} {'Hits@1':>8} "
-             f"{'Hits@3':>8} {'Hits@10':>8}"]
+    # (name, block) of each setting, each followed by its sides'
+    rows = []
     for setting, block, by_side in (
             ("raw", metrics.raw, metrics.raw_by_side),
             ("filtered", metrics.filtered, metrics.filtered_by_side)):
-        lines.append(f"{setting:>16} {block.mrr:8.3f} {block.mr:9.2f} "
-                     f"{block.hits1:8.3f} {block.hits3:8.3f} "
-                     f"{block.hits10:8.3f}")
-        for side, sblock in sorted(by_side.items()):
-            lines.append(f"{setting + '/' + side:>16} {sblock.mrr:8.3f} "
-                         f"{sblock.mr:9.2f} {sblock.hits1:8.3f} "
-                         f"{sblock.hits3:8.3f} {sblock.hits10:8.3f}")
+        if block is not None:
+            rows.append((setting, block))
+            rows += [(f"{setting}.{side}", sblock)
+                     for side, sblock in sorted(by_side.items())]
+    if format == "structured":
+        lines = [f"n={metrics.n_queries}",
+                 f"tie_policy={metrics.tie_policy}"]
+        for name, b in rows:
+            lines += [f"{name}.mrr={b.mrr:.6f}", f"{name}.mr={b.mr:.4f}",
+                      f"{name}.hits1={b.hits1:.6f}",
+                      f"{name}.hits3={b.hits3:.6f}",
+                      f"{name}.hits10={b.hits10:.6f}", f"{name}.n={b.n}"]
+    elif metrics.n_queries == 0:
+        lines = ["link prediction: no queries (empty evaluation set)",
+                 f"tie policy: {metrics.tie_policy}"]
+    else:
+        lines = [f"link prediction over {metrics.n_queries} queries "
+                 f"(tie policy: {metrics.tie_policy})",
+                 f"{'':>16} {'MRR':>8} {'MR':>9} {'Hits@1':>8} "
+                 f"{'Hits@3':>8} {'Hits@10':>8}"]
+        lines += [f"{name.replace('.', '/'):>16} {b.mrr:8.3f} {b.mr:9.2f} "
+                  f"{b.hits1:8.3f} {b.hits3:8.3f} {b.hits10:8.3f}"
+                  for name, b in rows]
     return "\n".join(lines) + "\n"
 
 

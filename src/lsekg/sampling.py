@@ -34,6 +34,8 @@ class SamplerConfig:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
 
 
 def corruption_side_probability(stats: RelationStats | None,
@@ -57,6 +59,9 @@ class NegativeSampler:
     def __init__(self, n_e: int, config: SamplerConfig,
                  stats: dict[int, RelationStats] | None = None,
                  filter_index: FilterIndex | None = None):
+        if config.filter_false_negatives and filter_index is None:
+            raise ConsistencyError(
+                "false-negative screening requires a filter index")
         self.n_e = n_e
         self.config = config
         self.filter_index = filter_index if config.filter_false_negatives else None

@@ -9,6 +9,7 @@ seed; identical seeds produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -40,25 +41,24 @@ class SynthSplits:
                     f.write(f"{h}\t{r}\t{t}\n")
 
 
-def _sample_pairs(rng: np.random.Generator, n_entities: int,
-                  n_pairs: int, ordered: bool) -> list[tuple[int, int]]:
-    """Distinct entity pairs (a, b), a != b; unordered pairs are canonical
-    a < b so no reverse sneaks into the base edge set."""
-    limit = n_entities * (n_entities - 1)
-    if not ordered:
-        limit //= 2
-    if n_pairs > limit:
+def _sample_distinct(rng: np.random.Generator, n_entities: int, count: int,
+                     width: int, ordered: bool, what: str
+                     ) -> list[tuple[int, ...]]:
+    """`count` distinct tuples of `width` distinct entity ids, sorted, each
+    from one draw of `width` ids and redrawn while an id repeats. An
+    unordered tuple is kept ascending, so no reverse of an edge sneaks into
+    the base edge set. Raises `InputError` naming `what` when fewer than
+    `count` such tuples exist."""
+    limit = (math.perm if ordered else math.comb)(n_entities, width)
+    if count > limit:
         raise InputError(
-            f"cannot place {n_pairs} edges on {n_entities} entities")
-    pairs: set[tuple[int, int]] = set()
-    while len(pairs) < n_pairs:
-        a, b = rng.integers(0, n_entities, size=2)
-        if a == b:
-            continue
-        if not ordered and a > b:
-            a, b = b, a
-        pairs.add((int(a), int(b)))
-    return sorted(pairs)
+            f"cannot place {count} {what} on {n_entities} entities")
+    drawn: set[tuple[int, ...]] = set()
+    while len(drawn) < count:
+        ids = rng.integers(0, n_entities, size=width).tolist()
+        if len(set(ids)) == width:
+            drawn.add(tuple(ids if ordered else sorted(ids)))
+    return sorted(drawn)
 
 
 def _split_holdout(entailed: list[RawTriple], holdout: float,
@@ -89,6 +89,8 @@ def generate(pattern: str, n_entities: int, n_facts: int,
         raise InputError("need at least 3 entities and 1 fact")
     if not 0.0 < holdout < 1.0:
         raise InputError("holdout must be in (0, 1)")
+    if seed < 0:
+        raise InputError("seed must not be negative")
     rng = substream(seed, "synth")
 
     if pattern == "mixed":
@@ -107,37 +109,27 @@ def generate(pattern: str, n_entities: int, n_facts: int,
 
     if pattern == "symmetric":
         r0 = f"{relation_prefix}0"
-        base = _sample_pairs(rng, n_entities, n_facts, ordered=False)
+        base = _sample_distinct(rng, n_entities, n_facts, 2, False, "edges")
         train = [(f"e{a}", r0, f"e{b}") for a, b in base]
         entailed = [(f"e{b}", r0, f"e{a}") for a, b in base]
     elif pattern == "inverse":
         r0, r1 = f"{relation_prefix}0", f"{relation_prefix}1"
-        base = _sample_pairs(rng, n_entities, n_facts, ordered=True)
+        base = _sample_distinct(rng, n_entities, n_facts, 2, True, "edges")
         train = [(f"e{a}", r0, f"e{b}") for a, b in base]
         entailed = [(f"e{b}", r1, f"e{a}") for a, b in base]
     else:  # composition
         r0, r1, r2 = (f"{relation_prefix}{i}" for i in range(3))
-        paths: set[tuple[int, int, int]] = set()
-        limit = n_entities * (n_entities - 1) * (n_entities - 2)
-        if n_facts > limit:
-            raise InputError(
-                f"cannot place {n_facts} paths on {n_entities} entities")
-        while len(paths) < n_facts:
-            a, b, c = rng.integers(0, n_entities, size=3)
-            if a == b or b == c or a == c:
-                continue
-            paths.add((int(a), int(b), int(c)))
-        ordered_paths = sorted(paths)
-        train = [(f"e{a}", r0, f"e{b}") for a, b, _ in ordered_paths]
-        train += [(f"e{b}", r1, f"e{c}") for _, b, c in ordered_paths]
+        paths = _sample_distinct(rng, n_entities, n_facts, 3, True, "paths")
+        train = [(f"e{a}", r0, f"e{b}") for a, b, _ in paths]
+        train += [(f"e{b}", r1, f"e{c}") for _, b, c in paths]
         train = list(dict.fromkeys(train))  # paths may share edges
         # label the whole two-hop closure of the emitted edges, not just
         # the sampled paths: filtered ranking counts every unlabelled
         # closure pair as false
         successors: dict[int, list[int]] = {}
-        for _, b, c in ordered_paths:
+        for _, b, c in paths:
             successors.setdefault(b, []).append(c)
-        closure = sorted({(a, c) for a, b, _ in ordered_paths
+        closure = sorted({(a, c) for a, b, _ in paths
                           for c in successors[b] if a != c})
         entailed = [(f"e{a}", r2, f"e{c}") for a, c in closure]
 

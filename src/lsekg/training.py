@@ -70,9 +70,9 @@ class TrainConfig:
                              "and finite")
         if self.batch_size < 1 or self.dim < 1:
             raise ValueError("batch size and dim must be at least 1")
-        if min(self.max_steps, self.eval_every, self.patience) < 0:
-            raise ValueError("max steps, eval every and patience must not "
-                             "be negative")
+        if min(self.max_steps, self.eval_every, self.patience, self.seed) < 0:
+            raise ValueError("max steps, eval every, patience and seed must "
+                             "not be negative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -307,16 +307,9 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
             for start in range(0, n, batch_size):
                 yield dataset.train[order[start:start + batch_size]]
 
-    def snapshot(step: int, mrr: float | None,
-                 copy: bool = True) -> Checkpoint:
-        return Checkpoint(vocab, params.copy() if copy else params, config,
-                          step, mrr)
-
     workspace = Workspace()
-    # only a run that evaluates can return its step-0 parameters
-    best = snapshot(0, None) if len(dataset.valid) else None
-    best_mrr = -np.inf
-    evaluated = False
+    # the best-MRR checkpoint so far, None until the first validation round
+    best = None
     bad_rounds = 0
     step = 0
 
@@ -357,10 +350,8 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                 metrics, _ = evaluate(params, dataset.valid, valid_filter,
                                       config.p)
                 mrr = metrics.filtered.mrr
-                evaluated = True
-                if mrr > best_mrr:
-                    best_mrr = mrr
-                    best = snapshot(step, mrr)
+                if best is None or mrr > best.best_valid_mrr:
+                    best = Checkpoint(vocab, params.copy(), config, step, mrr)
                     bad_rounds = 0
                 else:
                     bad_rounds += 1
@@ -368,14 +359,14 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                 mrr = None
             if log is not None:
                 log({"step": step, "loss": loss, "valid_mrr": mrr})
-            if evaluated and bad_rounds >= config.patience:
+            if best is not None and bad_rounds >= config.patience:
                 return best
 
-    if not evaluated:
-        # params are last-good: a diverging step is never applied. Nothing
-        # else holds them, so they are returned uncopied
-        best = snapshot(step, None, copy=False)
-    return best
+    if best is not None:
+        return best
+    # params are last-good: a diverging step is never applied. Nothing else
+    # holds them, so they are returned uncopied
+    return Checkpoint(vocab, params, config, step, None)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +439,14 @@ def _meta_int(meta: dict, key: str, minimum: int) -> int:
     return value
 
 
-def _meta_names(vocabulary, key: str, count: int) -> dict[str, int]:
-    """{name: id} of a vocabulary list of `count` distinct strings."""
+def _meta_names(vocabulary, key: str, count: int) -> tuple:
+    """The names of a vocabulary list of `count` names; `Vocabulary`
+    checks that they are distinct strings."""
     names = vocabulary[key]
-    ids = (dict(zip(names, range(len(names)))) if isinstance(names, list)
-           and set(map(type, names)) <= {str} else {})
-    if len(ids) != count or len(names) != count:
+    if not isinstance(names, list) or len(names) != count:
         raise ConsistencyError(f"corrupt checkpoint metadata: vocabulary "
-                               f"{key} are not {count} distinct names")
-    return ids
+                               f"{key} are not {count} names")
+    return tuple(names)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -485,9 +475,9 @@ def load_checkpoint(path) -> Checkpoint:
             n_e = _meta_int(meta, "n_e", 0)
             n_r = _meta_int(meta, "n_r", 0)
             step = _meta_int(meta, "step", 0)
-            entity_to_id = _meta_names(meta["vocabulary"], "entities", n_e)
-            relation_to_id = _meta_names(meta["vocabulary"], "relations",
-                                         n_r)
+            vocabulary = Vocabulary(
+                _meta_names(meta["vocabulary"], "entities", n_e),
+                _meta_names(meta["vocabulary"], "relations", n_r))
             config = TrainConfig.from_dict(meta["config"])
             best_valid_mrr = meta["best_valid_mrr"]
             if type(best_valid_mrr) not in (type(None), int, float):
@@ -505,10 +495,6 @@ def load_checkpoint(path) -> Checkpoint:
         if trailing:
             raise ConsistencyError("checkpoint has trailing bytes")
 
-    vocabulary = Vocabulary(
-        entity_to_id=entity_to_id, id_to_entity=tuple(entity_to_id),
-        relation_to_id=relation_to_id, id_to_relation=tuple(relation_to_id),
-    )
     return Checkpoint(vocabulary=vocabulary,
                       params=Parameters(kind, entities, rel), config=config,
                       step=step, best_valid_mrr=best_valid_mrr)

@@ -260,7 +260,7 @@ def test_criterion_7_memorization_capacity():
 
 def test_criterion_8_sampler_statistics():
     from lsekg.data import RelationStats
-    stats = {0: RelationStats(relation=0, n_triples=1, tph=1.5, hpt=0.5)}
+    stats = {0: RelationStats(n_triples=1, tph=1.5, hpt=0.5)}
     sampler = NegativeSampler(
         1000, SamplerConfig(mode="bernoulli", negatives_per_positive=1,
                             filter_false_negatives=False, seed=8),

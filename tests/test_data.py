@@ -9,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lsekg import ConsistencyError, InputError
-from lsekg.data import (INVERSE_THRESHOLD, build_dataset, build_filter_index,
-                        compute_bernoulli_stats, detect_patterns, distinct,
-                        first_occurrences, load_split)
+from lsekg.data import (INVERSE_THRESHOLD, Vocabulary, build_dataset,
+                        build_filter_index, compute_bernoulli_stats,
+                        detect_patterns, distinct, first_occurrences,
+                        load_split)
 from lsekg.synth import PATTERNS, generate
 
 
@@ -210,6 +211,21 @@ class TestBuildDataset:
         with pytest.raises(ConsistencyError,
                            match=re.escape(f"triple {named} is outside")):
             vocabulary.encode(raw)
+
+    @pytest.mark.parametrize("raw", [[("a", "r", 1)], [("a", 2.5, "b")],
+                                     [("a", "r", "b"), (None, "r", "b")]])
+    def test_non_string_name_rejected(self, raw):
+        # a checkpoint stores names as JSON strings and reads back only
+        # strings, so such a vocabulary could not be loaded again
+        with pytest.raises(ConsistencyError, match="distinct names"):
+            build_dataset(raw)
+
+    @pytest.mark.parametrize("entities, relations", [
+        (("a", "b", "a"), ("r",)), (("a", "b"), ("r", "s", "r"))])
+    def test_vocabulary_with_a_repeated_name_rejected(self, entities,
+                                                      relations):
+        with pytest.raises(ConsistencyError, match="distinct names"):
+            Vocabulary(entities, relations)
 
     def test_splits_encoded_against_shared_vocab(self):
         ds = build_dataset([("a", "r", "b")], [("b", "r", "a")],

@@ -42,6 +42,12 @@ class TestRankOfTruth:
         with pytest.raises(ConsistencyError):
             rank_of_truth(np.array([1.0, 2.0]), 5)
 
+    @pytest.mark.parametrize("mask", [[-1], [7], {1, 4}])
+    def test_masked_id_out_of_range(self, mask):
+        # -1 would otherwise mask the last candidate
+        with pytest.raises(ConsistencyError, match="masked id"):
+            rank_of_truth(np.array([0.5, 0.2, 0.1, 0.9]), 3, mask=mask)
+
     def test_nan_ranks_as_inf(self):
         energies = np.array([np.nan, 0.5, np.nan, np.inf, 2.0])
         # behind 0.5 and 2.0, tied with the other NaN and with +inf

@@ -394,8 +394,7 @@ class TestLemmaDiagnostics:
     def test_lse_d_plus_minus_one_is_symmetric_exact(self):
         params = make_params(ModelKind.LSE_D, d=4, seed=31)
         params.relation_vectors[0] = np.array([1.0, -1.0, 1.0, -1.0])
-        stats = {0: RelationStats(relation=0, n_triples=4,
-                                  symmetry_score=1.0)}
+        stats = {0: RelationStats(n_triples=4, symmetry_score=1.0)}
         diag = lemma_diagnostics(params, stats)
         assert diag["symmetric"][0]["residual"] == 0.0
 
@@ -403,7 +402,7 @@ class TestLemmaDiagnostics:
         params = make_params(ModelKind.LSE, d=4, seed=32)
         params.relation_matrices[1] = np.linalg.inv(
             params.relation_matrices[0])
-        stats = {0: RelationStats(relation=0, n_triples=4,
+        stats = {0: RelationStats(n_triples=4,
                                   inverse_partners=[(1, 1.0)])}
         diag = lemma_diagnostics(params, stats)
         assert diag["inverse"][0]["residual"] == pytest.approx(0.0, abs=1e-9)
@@ -412,17 +411,15 @@ class TestLemmaDiagnostics:
         params = make_params(ModelKind.LSE, d=4, seed=33)
         params.relation_matrices[2] = (params.relation_matrices[0]
                                        @ params.relation_matrices[1])
-        stats = {2: RelationStats(
-            relation=2, n_triples=9,
-            composition_samples=[(0, 1, 2, 9)])}
+        stats = {2: RelationStats(n_triples=9,
+                                  composition_samples=[(0, 1, 2, 9)])}
         diag = lemma_diagnostics(params, stats)
         assert diag["composition"][0]["residual"] == pytest.approx(0.0,
                                                                    abs=1e-9)
 
     def test_transe_reports_degeneracy_witness(self):
         params = make_params(ModelKind.TRANSE, seed=34)
-        stats = {0: RelationStats(relation=0, n_triples=4,
-                                  symmetry_score=0.95)}
+        stats = {0: RelationStats(n_triples=4, symmetry_score=0.95)}
         diag = lemma_diagnostics(params, stats)
         rec = diag["symmetric"][0]
         assert rec["residual"] == pytest.approx(
@@ -436,7 +433,7 @@ class TestLemmaDiagnostics:
         for h in range(6):
             for t in range(6):
                 assert energy(params, h, 0, t) == energy(params, t, 1, h)
-        stats = {0: RelationStats(relation=0, n_triples=4,
+        stats = {0: RelationStats(n_triples=4,
                                   symmetry_score=1.0,
                                   inverse_partners=[(1, 1.0)])}
         diag = lemma_diagnostics(params, stats)
@@ -450,9 +447,9 @@ class TestLemmaDiagnostics:
     def test_every_record_has_one_shape(self, kind):
         params = make_params(kind, seed=35)
         stats = {
-            0: RelationStats(relation=0, n_triples=4, symmetry_score=0.9,
+            0: RelationStats(n_triples=4, symmetry_score=0.9,
                              inverse_partners=[(1, 0.85)]),
-            2: RelationStats(relation=2, n_triples=9,
+            2: RelationStats(n_triples=9,
                              composition_samples=[(0, 1, 2, 9),
                                                   (1, 1, 2, 4)]),
         }

@@ -8,8 +8,8 @@ from lsekg.sampling import (REDRAW_CAP, NegativeSampler, SamplerConfig,
                             corruption_side_probability)
 
 
-def stats(tph, hpt, r=0):
-    return RelationStats(relation=r, n_triples=1, tph=tph, hpt=hpt)
+def stats(tph, hpt):
+    return RelationStats(n_triples=1, tph=tph, hpt=hpt)
 
 
 class TestSideProbability:
@@ -56,6 +56,10 @@ class TestCorrupt:
             # the replaced side may redraw the original entity by chance,
             # but never both sides at once
             assert neg[1] == pos[1]
+
+    def test_screening_without_filter_index_rejected(self):
+        with pytest.raises(ConsistencyError, match="filter index"):
+            make_sampler(filter_false_negatives=True)
 
     def test_relation_never_changes(self):
         sampler = make_sampler(n_e=10, k=5)
@@ -221,6 +225,6 @@ class TestBernoulliFrequency:
     def test_relation_gap_in_stats_named(self):
         sampler = make_sampler(n_e=10, mode="bernoulli",
                                stats_map={0: stats(1.0, 1.0),
-                                          2: stats(1.0, 1.0, r=2)})
+                                          2: stats(1.0, 1.0)})
         with pytest.raises(ConsistencyError, match="relation 1"):
             sampler.corrupt_batch(np.array([[0, 2, 1], [0, 1, 1]]))

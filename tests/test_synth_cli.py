@@ -16,7 +16,7 @@ from lsekg import InputError, cli
 from lsekg.cli import (_SAMPLER_KEYS, CONFIG_KEYS, _read_config_file,
                        _resolve_train_config, build_parser, main)
 from lsekg.data import build_dataset, detect_patterns, load_split
-from lsekg.synth import generate
+from lsekg.synth import PATTERNS, generate
 from lsekg.models import ModelKind, Parameters
 from lsekg.training import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig,
                             load_checkpoint, save_checkpoint)
@@ -592,9 +592,16 @@ class TestCliExitCodes:
                                       ("--eval-every", "-2"),
                                       ("--patience", "-1"),
                                       ("--lr", "nan"),
-                                      ("--margin", "inf")])
+                                      ("--margin", "inf"),
+                                      ("--seed", "-1")])
     def test_bad_flag_value_exit_2(self, capsys, tmp_path, flag):
         assert self.train(capsys, tmp_path, *flag) == 2
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_synth_negative_seed_exit_2(self, capsys, tmp_path, pattern):
+        assert self.exit_code(capsys, "synth", "--pattern", pattern,
+                              "--seed", "-1", "--out", str(tmp_path)) == 2
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", ["margin=wide", "dim=3.5",
                                       "seed=x", "loss=hinge",
@@ -632,6 +639,20 @@ class TestCliExitCodes:
         path = self.checkpoint(tmp_path, meta)
         assert self.exit_code(capsys, "eval", "--checkpoint", path,
                               "--test", path) == 3
+
+    @pytest.mark.parametrize("config", [{"dim": 1, "seed": -1},
+                                        {"dim": 1, "sampler": {"seed": -1}}])
+    def test_checkpoint_negative_seed_exit_3(self, capsys, tmp_path,
+                                             config):
+        meta = {"version": 1, "kind": "lse_d", "d": 1, "n_e": 1, "n_r": 1,
+                "step": 0, "best_valid_mrr": None, "config": config,
+                "vocabulary": {"entities": ["a"], "relations": ["r"]}}
+        path = self.checkpoint(tmp_path, meta)
+        (tmp_path / "test.txt").write_text("a\tr\ta\n")
+        assert self.exit_code(capsys, "eval", "--checkpoint", path,
+                              "--test", str(tmp_path / "test.txt"),
+                              "--filter-with", "test",
+                              "--out", str(tmp_path)) == 3
 
     def test_checkpoint_metadata_not_an_object_exit_3(self, capsys,
                                                       tmp_path):

@@ -737,9 +737,7 @@ class TestCheckpointIO:
         rel_shape = (0, d, d) if kind.uses_matrix else (0, d)
         params = lsekg.models.Parameters(kind=kind, entities=np.zeros((0, d)),
                                          relations=np.zeros(rel_shape))
-        ckpt = Checkpoint(vocabulary=Vocabulary(entity_to_id={},
-                                                id_to_entity=(),
-                                                relation_to_id={},
+        ckpt = Checkpoint(vocabulary=Vocabulary(id_to_entity=(),
                                                 id_to_relation=()),
                           params=params, config=TrainConfig(dim=d))
         path = tmp_path / "empty.ckpt"
@@ -789,13 +787,10 @@ class TestCheckpointIO:
         else:
             vocab, names = ckpt.vocabulary, ("x", "y", "z", "w")
             ckpt.vocabulary = (Vocabulary(
-                entity_to_id=dict(zip(names, range(4))), id_to_entity=names,
-                relation_to_id=vocab.relation_to_id,
+                id_to_entity=names,
                 id_to_relation=vocab.id_to_relation) if change == "entities"
                 else Vocabulary(
-                entity_to_id=vocab.entity_to_id,
-                id_to_entity=vocab.id_to_entity, relation_to_id={"r": 0},
-                id_to_relation=("r",)))
+                id_to_entity=vocab.id_to_entity, id_to_relation=("r",)))
         with pytest.raises(ConsistencyError, match="does not fit"):
             save_checkpoint(ckpt, tmp_path / "bad.ckpt")
         assert not (tmp_path / "bad.ckpt").exists()
@@ -828,9 +823,7 @@ class TestCheckpointIO:
 
 def small_checkpoint(kind=ModelKind.LSE_D) -> Checkpoint:
     params = init_params(kind, 3, 2, 2, seed=0)
-    vocab = Vocabulary(entity_to_id={"a": 0, "b": 1, "c": 2},
-                       id_to_entity=("a", "b", "c"),
-                       relation_to_id={"r": 0, "s": 1},
+    vocab = Vocabulary(id_to_entity=("a", "b", "c"),
                        id_to_relation=("r", "s"))
     return Checkpoint(vocabulary=vocab, params=params,
                       config=TrainConfig(dim=2), step=7, best_valid_mrr=0.5)
@@ -857,9 +850,7 @@ def pinned_checkpoint(kind) -> Checkpoint:
                  else np.array([[1.5, -0.5], [0.25, 3.0]]))
     params = lsekg.models.Parameters(
         kind, np.array([[0.5, -1.25], [2.0, 0.125]]), relations)
-    vocab = Vocabulary(entity_to_id={"a": 0, "b": 1}, id_to_entity=("a", "b"),
-                       relation_to_id={"r": 0, "s": 1},
-                       id_to_relation=("r", "s"))
+    vocab = Vocabulary(id_to_entity=("a", "b"), id_to_relation=("r", "s"))
     return Checkpoint(vocabulary=vocab, params=params,
                       config=TrainConfig(dim=2), step=3, best_valid_mrr=0.25)
 
