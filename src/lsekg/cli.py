@@ -359,7 +359,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    # an I/O failure exits 2 as bad input does: inputs raise InputError
+    # naming their file, so an OSError here is an --out that cannot be
+    # made or written
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,13 +121,21 @@ def init_params(kind: ModelKind, n_e: int, n_r: int, d: int,
     translation of norm ~sqrt(12) dwarfs unit-norm entities, so
     sign(h + r - t) = sign(r) for positives and negatives alike and the L1
     hinge gradients on r cancel. Multiplicative parameters start near their
-    identity: LSE_d vectors near 1, LSE matrices near I.
+    identity: LSE_d vectors near 1, LSE matrices near I. Tables larger
+    than the machine's physical memory raise `ConsistencyError` before
+    anything is allocated.
     """
+    kind = ModelKind(kind)
     if d < 1 or n_e < 1 or n_r < 1:
         raise ConsistencyError(
             f"invalid model size n_e={n_e} n_r={n_r} d={d}")
+    nbytes = 8 * (n_e * d + n_r * d * (d if kind.uses_matrix else 1))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConsistencyError(
+            f"{kind.value} tables of n_e={n_e} n_r={n_r} d={d} need "
+            f"{nbytes} bytes, more than the {memory} of physical memory")
     rng = substream(seed, "init")
-    kind = ModelKind(kind)
     bound = 6.0 / np.sqrt(d)
     entities = rng.uniform(-bound, bound, size=(n_e, d))
     if kind is ModelKind.LSE:

@@ -8,7 +8,6 @@ fully deterministic given the config and sampler seeds.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import itertools
 import json
@@ -34,7 +33,6 @@ from lsekg.models import (ModelKind, Parameters, RowGrads,  # noqa: F401
 from lsekg.sampling import NegativeSampler, SamplerConfig
 from lsekg.seeding import substream
 
-PROB_CLAMP = 1e-7
 CHECKPOINT_MAGIC = b"LSEKGE1\n"
 CHECKPOINT_VERSION = 1
 LOSSES = ("margin", "ce")
@@ -120,21 +118,19 @@ def triple_probability(e, gamma: float):
     return out if out.ndim else float(out)
 
 
-def _clamped_log(p):
-    return np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
-
-
-def _ce_terms(p_pos, p_neg):
-    """Cross entropy per positive from the probabilities of positives (B,)
-    and their negatives (B, k), the negatives' log-terms weighted 1/k."""
-    return (-_clamped_log(p_pos)
-            - _clamped_log(1.0 - p_neg).sum(axis=-1) / p_neg.shape[-1])
+def _ce_terms(e_pos, e_neg, gamma: float):
+    """Cross entropy per positive from the energies of positives (B,) and
+    their negatives (B, k), the negatives' terms weighted 1/k: -log
+    sigma(gamma - e) = log(1 + exp(e - gamma)) and -log(1 - sigma(gamma -
+    e)) = log(1 + exp(gamma - e)), exact and finite for any finite e."""
+    return (np.logaddexp(0.0, e_pos - gamma)
+            + np.logaddexp(0.0, gamma - e_neg).sum(axis=-1) / e_neg.shape[-1])
 
 
 def ce_loss(e_pos, e_negs, gamma: float) -> float:
     """Cross entropy of one positive energy and its negatives'."""
-    return float(_ce_terms(triple_probability(e_pos, gamma),
-                           triple_probability(e_negs, gamma)))
+    return float(_ce_terms(np.asarray(e_pos, dtype=float),
+                           np.asarray(e_negs, dtype=float), gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +196,9 @@ def _loss_coefficients(e_pos: np.ndarray, e_neg: np.ndarray,
         c_pos = active.sum(axis=1) / (b * k)
         c_neg = -active.astype(float) / (b * k)
     else:
+        loss = float(_ce_terms(e_pos, e_neg, gamma).mean())
         p_pos = triple_probability(e_pos, gamma)
         p_neg = triple_probability(e_neg, gamma)
-        loss = float(_ce_terms(p_pos, p_neg).mean())
         c_pos = (1.0 - p_pos) / b
         c_neg = -p_neg / (b * k)
     return loss, c_pos, c_neg
@@ -220,46 +216,6 @@ class Checkpoint:
     best_valid_mrr: float | None = None
 
 
-class _MallInfo2(ctypes.Structure):
-    """glibc's `struct mallinfo2`: the C heap's figures, in bytes."""
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-        "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-
-try:  # glibc 2.33 on; other C libraries have neither
-    _libc = ctypes.CDLL(None)
-    _malloc_trim, _mallinfo2 = _libc.malloc_trim, _libc.mallinfo2
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-    _mallinfo2.restype = _MallInfo2
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = _mallinfo2 = None
-
-# glibc's heap serves arrays up to 32 MiB once its mmap threshold has risen;
-# less free heap than that is not worth faulting in again
-_TRIM_MIN_FREE = 32 * 2**20
-
-
-def _release_free_heap() -> None:
-    """Give the free pages of the C heap back to the OS when it holds at
-    least `_TRIM_MIN_FREE` free bytes, where glibc can.
-
-    Once a freed array has raised glibc's mmap threshold, a step's
-    batch-sized arrays come from the heap. `free` trims only the heap's
-    top, so after a run their pages stay resident whenever a small block
-    that outlives the run sits above them. Where such blocks land depends
-    on the process's whole allocation history, down to its string hash
-    seed, and the pages left add to the next run's peak or not:
-    `wnshape-lse_d` peaked at 379 or 426 MB on one benchmark seed, with
-    159 MB of free heap left after a run. `malloc_trim(0)` frees the free
-    pages wherever they lie. A small run leaves a few MB (5 after each
-    one-step `memorize-lse` run), and trimming those cost each of its
-    set-ups about 2 ms, 14%.
-    """
-    if _mallinfo2 is not None and _mallinfo2().fordblks >= _TRIM_MIN_FREE:
-        _malloc_trim(0)
-
-
 def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
           log: Callable[[dict], None] | None = None) -> Checkpoint:
     """Optimize a fresh model on `dataset.train`, selecting the best
@@ -269,22 +225,15 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
     evaluating every `eval_every` steps and stopping after `patience`
     non-improving evaluations. On divergence (a non-finite loss, gradient
     or updated value) a warning is issued and the last good parameters are
-    returned; numpy's own overflow warnings are kept back, since the
-    finiteness checks decide.
+    returned. numpy's overflow and invalid-value warnings are kept back in
+    the steps and in their validation alike: the step's finiteness checks
+    decide, and validation ranks a NaN energy as +inf, as `evaluate` does.
 
     Every step's forward pass, backward pass and update write into one
     `Workspace`, which the steps of this call share and which is dropped
-    when it returns; then the C heap's free pages go back to the OS
-    (`_release_free_heap`).
+    when it returns.
     """
-    best = _train(dataset, ModelKind(kind), config, log)
-    _release_free_heap()
-    return best
-
-
-def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
-           log: Callable[[dict], None] | None) -> Checkpoint:
-    """`train`'s run. Its steps' arrays are freed when it returns."""
+    kind = ModelKind(kind)
     vocab = dataset.vocabulary
     params = init_params(kind, vocab.n_e, vocab.n_r, config.dim, config.seed)
 
@@ -313,54 +262,55 @@ def _train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
     bad_rounds = 0
     step = 0
 
-    for pos in itertools.islice(batches(), config.max_steps):
-        neg = sampler.corrupt_batch(pos)
-        b, k = neg.shape[:2]
-        flat = np.concatenate([pos, neg.reshape(-1, 3)])
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pos in itertools.islice(batches(), config.max_steps):
+            neg = sampler.corrupt_batch(pos)
+            b, k = neg.shape[:2]
+            flat = np.concatenate([pos, neg.reshape(-1, 3)])
             energies, residual = _batch_energies(params, flat, config.p,
                                                  workspace)
             loss, c_pos, c_neg = _loss_coefficients(
                 energies[:b], energies[b:].reshape(b, k), config)
-        try:
-            if not np.isfinite(loss):
-                raise LsekgError("training diverged")
-            coeffs = np.concatenate([c_pos, c_neg.ravel()])
-            triples, coeffs, residual, energies = _active_rows(
-                flat, coeffs, residual, energies)
-            with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if not np.isfinite(loss):
+                    raise LsekgError("training diverged")
+                coeffs = np.concatenate([c_pos, c_neg.ravel()])
+                triples, coeffs, residual, energies = _active_rows(
+                    flat, coeffs, residual, energies)
                 # positional arguments only: tests wrap this with *args
                 ent_g, rel_g = _batch_gradients(params, triples, coeffs,
                                                 residual, config.p, energies,
                                                 workspace)
-            sgd_step(params, ent_g, rel_g, config.learning_rate, workspace)
-        except LsekgError as exc:  # nothing applied
-            warnings.warn(f"{exc} at step {step}; returning last good "
-                          "checkpoint")
-            break
-        if config.normalize_entities and kind is ModelKind.TRANSE:
-            rows = distinct(flat[:, [0, 2]])
-            norms = np.linalg.norm(params.entities[rows], axis=1,
-                                   keepdims=True)
-            params.entities[rows] /= np.maximum(norms, 1e-12)
-        step += 1
+                sgd_step(params, ent_g, rel_g, config.learning_rate,
+                         workspace)
+            except LsekgError as exc:  # nothing applied
+                warnings.warn(f"{exc} at step {step}; returning last good "
+                              "checkpoint")
+                break
+            if config.normalize_entities and kind is ModelKind.TRANSE:
+                rows = distinct(flat[:, [0, 2]])
+                norms = np.linalg.norm(params.entities[rows], axis=1,
+                                       keepdims=True)
+                params.entities[rows] /= np.maximum(norms, 1e-12)
+            step += 1
 
-        if config.eval_every and step % config.eval_every == 0:
-            if len(dataset.valid):
-                metrics, _ = evaluate(params, dataset.valid, valid_filter,
-                                      config.p)
-                mrr = metrics.filtered.mrr
-                if best is None or mrr > best.best_valid_mrr:
-                    best = Checkpoint(vocab, params.copy(), config, step, mrr)
-                    bad_rounds = 0
+            if config.eval_every and step % config.eval_every == 0:
+                if len(dataset.valid):
+                    metrics, _ = evaluate(params, dataset.valid,
+                                          valid_filter, config.p)
+                    mrr = metrics.filtered.mrr
+                    if best is None or mrr > best.best_valid_mrr:
+                        best = Checkpoint(vocab, params.copy(), config, step,
+                                          mrr)
+                        bad_rounds = 0
+                    else:
+                        bad_rounds += 1
                 else:
-                    bad_rounds += 1
-            else:
-                mrr = None
-            if log is not None:
-                log({"step": step, "loss": loss, "valid_mrr": mrr})
-            if best is not None and bad_rounds >= config.patience:
-                return best
+                    mrr = None
+                if log is not None:
+                    log({"step": step, "loss": loss, "valid_mrr": mrr})
+                if best is not None and bad_rounds >= config.patience:
+                    return best
 
     if best is not None:
         return best

@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: each module of the package imports
-only the standard library, numpy and the package itself."""
+only the standard library, numpy and the package itself. No module calls
+into C libraries through `ctypes`."""
 
 import ast
 import pathlib
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "lsekg"}
+ALLOWED = (set(sys.stdlib_module_names) - {"ctypes"}) | {"numpy", "lsekg"}
 MODULES = sorted((pathlib.Path(__file__).parents[1] / "src" / "lsekg")
                  .glob("*.py"))
 

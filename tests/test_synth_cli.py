@@ -709,6 +709,29 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nowhere" in err
 
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_output_below_a_file_exit_2(self, capsys, synth_dir, trained_dir,
+                                        tmp_path, command):
+        (tmp_path / "file").write_text("")
+        flags = {"synth": ("--pattern", "symmetric"),
+                 "train": ("--model", "lse_d", "--data", str(synth_dir),
+                           "--max-steps", "1"),
+                 "eval": ("--checkpoint", str(trained_dir[0] / "lse_d.ckpt"),
+                          "--data", str(synth_dir))}[command]
+        code = main([command, *flags, "--out", str(tmp_path / "file" / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_model_larger_than_memory_exit_3(self, capsys, tmp_path):
+        # the entity table alone, 2 entities x 2**62 x 8 bytes, is past
+        # 2**63 bytes: numpy too refuses it before allocating anything
+        (tmp_path / "train.txt").write_text("a\tr\tb\n")
+        assert self.exit_code(capsys, "train", "--model", "lse",
+                              "--train", str(tmp_path / "train.txt"),
+                              "--dim", str(2**62),
+                              "--out", str(tmp_path)) == 3
+
     def test_config_file_closed(self, tmp_path):
         config = tmp_path / "ok.conf"
         config.write_text("dim=4\n")

@@ -4,7 +4,6 @@ import math
 import struct
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ import lsekg.models
 import lsekg.training
 from lsekg import ConsistencyError, InputError, LsekgError
 from lsekg.data import Vocabulary, build_dataset
-from lsekg.models import ModelKind, Workspace, energy, init_params
+from lsekg.models import (ModelKind, Workspace, all_entity_energies,
+                          energy, init_params)
 from lsekg.sampling import NegativeSampler, SamplerConfig
 from lsekg.synth import generate
 from lsekg.training import (CHECKPOINT_MAGIC, LOSSES, Checkpoint, RowGrads,
@@ -85,6 +85,11 @@ class TestCeLoss:
 
     def test_finite_under_extreme_energies(self):
         assert math.isfinite(ce_loss(1000.0, [-1000.0], gamma=1.0))
+
+    def test_exact_far_beyond_the_margin(self):
+        # -log sigma(6 - 46) = 40 + log(1 + e^-40): no probability clamp
+        # holds it at -log 1e-7 = 16.118
+        assert ce_loss(46.0, [100.0], gamma=6.0) == pytest.approx(40.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -598,37 +603,6 @@ class TestTrain:
                                               ckpt.config.dim)
         assert ckpt.best_valid_mrr is not None
 
-    def test_frees_its_workspace_before_releasing_the_heap(
-            self, tiny_dataset, monkeypatch):
-        """The heap's free pages go back to the OS after the run's
-        workspace is gone: a buffer still alive then keeps its pages."""
-        workspaces, alive = [], []
-
-        class Recorded(Workspace):
-            def __init__(self):
-                super().__init__()
-                workspaces.append(weakref.ref(self))
-
-        monkeypatch.setattr(lsekg.training, "Workspace", Recorded)
-        monkeypatch.setattr(lsekg.training, "_release_free_heap",
-                            lambda: alive.extend(ref() is not None
-                                                 for ref in workspaces))
-        train(tiny_dataset, ModelKind.LSE_D,
-              desk_config(max_steps=3, eval_every=0))
-        assert alive == [False]
-
-    @pytest.mark.parametrize("free,trims", [
-        (0, 0), (lsekg.training._TRIM_MIN_FREE - 1, 0),
-        (lsekg.training._TRIM_MIN_FREE, 1)])
-    def test_releases_the_heap_only_when_much_is_free(self, monkeypatch,
-                                                       free, trims):
-        calls = []
-        monkeypatch.setattr(lsekg.training, "_mallinfo2",
-                            lambda: lsekg.training._MallInfo2(fordblks=free))
-        monkeypatch.setattr(lsekg.training, "_malloc_trim", calls.append)
-        lsekg.training._release_free_heap()
-        assert calls == [0] * trims
-
     def test_nonfinite_gradient_returns_last_good(self, tiny_dataset,
                                                   monkeypatch):
         config = desk_config(max_steps=10, eval_every=0)
@@ -684,6 +658,57 @@ class TestTrain:
         assert [w.category for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []
         assert any("last good checkpoint" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("kind, loss, p, learning_rate", [
+        (ModelKind.DISTMULT, "margin", 1, 1e3),
+        (ModelKind.LSE, "ce", 1, 1e5),
+        (ModelKind.LSE_D, "ce", 1, 1e5),
+        (ModelKind.TRANSE, "margin", 2, 1e200)])
+    def test_validation_of_huge_parameters_ranks_nan_last(
+            self, monkeypatch, kind, loss, p, learning_rate):
+        """Parameters that grow huge but stay finite overflow validation's
+        energies to inf or NaN. numpy's warnings stay inside `train` (the
+        suite turns a `RuntimeWarning` into an error), and each round's
+        filtered MRR is the brute-force one over the kernel's energies, a
+        NaN ranking as +inf."""
+        splits = generate("mixed", 30, 120, 0.5, seed=0)
+        dataset = build_dataset(splits.train, splits.valid, splits.test)
+        rounds = []
+        evaluate = lsekg.training.evaluate
+
+        def recorded(params, *args):
+            metrics, records = evaluate(params, *args)
+            rounds.append((params.copy(), metrics.filtered.mrr))
+            return metrics, records
+
+        monkeypatch.setattr(lsekg.training, "evaluate", recorded)
+        config = desk_config(loss=loss, margin=6.0, p=p,
+                             learning_rate=learning_rate, dim=6,
+                             max_steps=60, eval_every=1, patience=100)
+        with pytest.warns(UserWarning, match="last good checkpoint"):
+            train(dataset, kind, config)
+
+        known = {tuple(t) for t in np.concatenate([dataset.train,
+                                                   dataset.valid]).tolist()}
+        n_e = dataset.vocabulary.n_e
+        nonfinite = False
+        for params, mrr in rounds:
+            reciprocal = []
+            for h, r, t in dataset.valid.tolist():
+                for side, anchor, truth in (("tail", h, t), ("head", t, h)):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        e = all_entity_energies(params, side, [anchor], [r],
+                                                p)[0]
+                    nonfinite |= not np.isfinite(e).all()
+                    e = np.where(np.isnan(e), np.inf, e)
+                    others = [c for c in range(n_e) if c != truth and (
+                        (h, r, c) if side == "tail" else (c, r, t))
+                        not in known]
+                    rank = (1 + np.count_nonzero(e[others] < e[truth])
+                            + np.count_nonzero(e[others] == e[truth]) / 2)
+                    reciprocal.append(1 / rank)
+            assert mrr == pytest.approx(np.mean(reciprocal), rel=1e-12)
+        assert nonfinite
 
     def test_normalize_entities_projects_rows(self, tiny_dataset):
         config = desk_config(normalize_entities=True, max_steps=30,
