@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, cycle, islice, repeat
+from itertools import chain, compress, cycle, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -85,8 +85,6 @@ class Dataset:
     valid: np.ndarray
     test: np.ndarray
     vocabulary: Vocabulary
-    # per-split count of dropped duplicate triples
-    duplicates_dropped: dict[str, int] = field(default_factory=dict)
 
 
 def load_split(path) -> list[RawTriple]:
@@ -98,8 +96,8 @@ def load_split(path) -> list[RawTriple]:
     not hold 3 tab-separated fields or holds an empty one raises
     `InputError` naming it.
 
-    The file is read and decoded in one call, and each step below is one
-    C-level pass over all lines or all fields.
+    The file is read and decoded in one call. A good file takes one C-level
+    pass over all lines or all fields per step; a bad one, one more loop.
     """
     try:
         with open(path, encoding="utf-8-sig") as f:
@@ -117,19 +115,16 @@ def load_split(path) -> list[RawTriple]:
     fields = list(map(str.strip, "\t".join(rows).split("\t")))
     if (tabs == 2).all() and "" not in fields:
         return list(zip(fields[0::3], fields[1::3], fields[2::3]))
-    # the first row of a wrong field count, and the row of the first empty
-    # field; a row that breaks both rules reports its field count
-    miscounted = tabs != 2
-    wrong = int(miscounted.argmax()) if miscounted.any() else len(rows)
-    empty = (int(np.searchsorted(np.cumsum(tabs + 1), fields.index(""),
-                                 "right")) if "" in fields else len(rows))
-    row = min(wrong, empty)
-    lineno = next(islice(compress(count(1), map(str.strip, lines)), row,
-                         None))
-    if row == wrong:
-        raise InputError(f"{path}:{lineno}: expected 3 tab-separated "
-                         f"fields, got {int(tabs[row]) + 1}")
-    raise InputError(f"{path}:{lineno}: empty head, relation or tail")
+    # some row breaks a rule; one that breaks both reports its field count
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise InputError(f"{path}:{lineno}: expected 3 tab-separated "
+                             f"fields, got {len(fields)}")
+        if not all(map(str.strip, fields)):
+            raise InputError(f"{path}:{lineno}: empty head, relation or tail")
 
 
 def distinct(values) -> np.ndarray:
@@ -211,13 +206,8 @@ def build_dataset(train: Iterable[RawTriple],
     vocab = Vocabulary(tuple(dict.fromkeys(names)),
                        tuple(dict.fromkeys(map(itemgetter(1), triples))))
 
-    encoded: dict[str, np.ndarray] = {}
-    duplicates: dict[str, int] = {}
-    for name, raw in splits.items():
-        encoded[name] = encode_split(vocab, raw, name)
-        dropped = len(raw) - len(encoded[name])
-        if dropped:
-            duplicates[name] = dropped
+    encoded = {name: encode_split(vocab, raw, name)
+               for name, raw in splits.items()}
 
     in_train = np.bincount(encoded["train"][:, ::2].ravel(),
                            minlength=vocab.n_e)
@@ -227,8 +217,7 @@ def build_dataset(train: Iterable[RawTriple],
                       "they keep their (untrained) initial embeddings")
 
     return Dataset(train=encoded["train"], valid=encoded["valid"],
-                   test=encoded["test"], vocabulary=vocab,
-                   duplicates_dropped=duplicates)
+                   test=encoded["test"], vocabulary=vocab)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,19 +271,11 @@ class FilterIndex:
         return _pairs(self.head_keys, self._bases(relations, tails, self.n_r,
                                                   self.n_e), self.n_e)
 
-    def known_tails(self, heads, relations) -> list[np.ndarray]:
-        """The sorted known tail ids of each (head, relation) pair."""
-        return _split(*self.known_tail_pairs(heads, relations), len(heads))
-
-    def known_heads(self, relations, tails) -> list[np.ndarray]:
-        """The sorted known head ids of each (relation, tail) pair."""
-        return _split(*self.known_head_pairs(relations, tails), len(tails))
-
     def true_tails(self, head: int, relation: int) -> np.ndarray:
-        return self.known_tails([head], [relation])[0]
+        return self.known_tail_pairs([head], [relation])[1]
 
     def true_heads(self, relation: int, tail: int) -> np.ndarray:
-        return self.known_heads([relation], [tail])[0]
+        return self.known_head_pairs([relation], [tail])[1]
 
     def _bases(self, major, minor, n_major: int, n_minor: int) -> np.ndarray:
         """The first key of each (major, minor) prefix, (major * n_minor +
@@ -321,12 +302,6 @@ def _pairs(keys: np.ndarray, bases: np.ndarray, width: int,
     # each pair's offset within its run, plus the run's first key
     at = np.arange(len(query)) + np.repeat(lo - before, counts)
     return query, keys[at] - bases[query]
-
-
-def _split(query: np.ndarray, ids: np.ndarray, n: int) -> list[np.ndarray]:
-    """The ids of each of `n` queries, from sorted (query, id) pairs."""
-    ends = np.cumsum(np.bincount(query, minlength=n)).tolist()
-    return [ids[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def build_filter_index(splits: Iterable,

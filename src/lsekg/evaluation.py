@@ -166,6 +166,7 @@ def aggregate(records: list[RankRecord], tie_policy: str = "mean") -> Metrics:
                                 if pick.any()}, tie_policy)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(params: Parameters, eval_set,
              filter_index: FilterIndex, p: int = 1,
              tie_policy: str = "mean") -> tuple[Metrics, list[RankRecord]]:
@@ -181,7 +182,8 @@ def evaluate(params: Parameters, eval_set,
     The triples are ranked in chunks of at most `_CHUNK_ENERGIES // n_e`,
     each side of a chunk scored as one batch (`all_entity_energies`) and
     counted as one (`_count_ranks`), so a chunk's memory does not grow with
-    the eval set.
+    the eval set. An energy that overflows, or is NaN, raises none of
+    numpy's warnings; a NaN energy ranks as +inf.
     """
     _check_tie_policy(tie_policy)
     n_e, n_r = params.n_e, params.n_r

@@ -111,6 +111,16 @@ class RowGrads:
         return len(self.ids)
 
 
+def refuse_beyond_memory(nbytes: int, what: str) -> None:
+    """Raise `ConsistencyError` when `what`, which needs `nbytes` bytes (a
+    Python int, so it cannot overflow), would not fit in the machine's
+    physical memory. Called before anything is allocated."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConsistencyError(f"{what} need {nbytes} bytes, more than the "
+                               f"{memory} of physical memory")
+
+
 def init_params(kind: ModelKind, n_e: int, n_r: int, d: int,
                 seed: int) -> Parameters:
     """Deterministically initialize parameters for `seed`.
@@ -129,12 +139,9 @@ def init_params(kind: ModelKind, n_e: int, n_r: int, d: int,
     if d < 1 or n_e < 1 or n_r < 1:
         raise ConsistencyError(
             f"invalid model size n_e={n_e} n_r={n_r} d={d}")
-    nbytes = 8 * (n_e * d + n_r * d * (d if kind.uses_matrix else 1))
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > memory:
-        raise ConsistencyError(
-            f"{kind.value} tables of n_e={n_e} n_r={n_r} d={d} need "
-            f"{nbytes} bytes, more than the {memory} of physical memory")
+    refuse_beyond_memory(
+        8 * (n_e * d + n_r * d * (d if kind.uses_matrix else 1)),
+        f"{kind.value} tables of n_e={n_e} n_r={n_r} d={d}")
     rng = substream(seed, "init")
     bound = 6.0 / np.sqrt(d)
     entities = rng.uniform(-bound, bound, size=(n_e, d))
@@ -549,6 +556,7 @@ def all_head_energies(params: Parameters, r: int, t: int,
 MIN_COMPOSITION_SUPPORT = 5
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lemma_diagnostics(params: Parameters, stats: dict[int, RelationStats]
                       ) -> dict[str, list[dict]]:
     """Residuals of the linear-map identities implied by detected patterns.
@@ -564,6 +572,9 @@ def lemma_diagnostics(params: Parameters, stats: dict[int, RelationStats]
     are L2 norms of translation sums; a symmetric TransE relation reports
     ||r||, and ||r|| / mean entity norm as the degeneracy witness
     `norm_ratio`.
+
+    Non-finite or overflowing parameters give infinite or NaN figures,
+    without numpy's overflow and invalid-value warnings.
     """
     kind = params.kind
     d = params.d

@@ -117,24 +117,17 @@ class NegativeSampler:
         """Redraw the replaced side of each known-true negative until it is
         no longer known-true, at most `REDRAW_CAP` times.
 
-        One key lookup finds them, and one more finds the known-true
-        entities of each. Only they are visited, in row-major order, so the
-        values drawn are those of a visit of every negative.
+        One key lookup over the batch finds them. Only they are visited, in
+        row-major order, so the values drawn are those of a visit of every
+        negative.
         """
         index = self.filter_index
-        at = np.nonzero(index.contains(neg))
-        hits, on_head = neg[at], replace_head[at]
-        heads = iter(index.known_heads(hits[on_head, 1], hits[on_head, 2]))
-        tails = iter(index.known_tails(hits[~on_head, 0], hits[~on_head, 1]))
-        for i, j, side in zip(*at, on_head):
-            known = next(heads if side else tails)
-            col = 0 if side else 2
-            value = neg[i, j, col]  # known-true
+        for i, j in zip(*np.nonzero(index.contains(neg))):
+            col = 0 if replace_head[i, j] else 2
             redraws = 0
-            while value in known:
+            while index.contains(neg[i, j]):
                 if redraws >= REDRAW_CAP:
                     self.redraw_cap_hits += 1
                     break
-                value = int(self.rng.integers(0, self.n_e))
+                neg[i, j, col] = self.rng.integers(0, self.n_e)
                 redraws += 1
-            neg[i, j, col] = value

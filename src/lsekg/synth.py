@@ -17,6 +17,7 @@ import numpy as np
 
 from lsekg import InputError
 from lsekg.data import RawTriple
+from lsekg.models import refuse_beyond_memory
 from lsekg.seeding import substream
 
 PATTERNS = ("symmetric", "inverse", "composition", "mixed")
@@ -48,11 +49,14 @@ def _sample_distinct(rng: np.random.Generator, n_entities: int, count: int,
     from one draw of `width` ids and redrawn while an id repeats. An
     unordered tuple is kept ascending, so no reverse of an edge sneaks into
     the base edge set. Raises `InputError` naming `what` when fewer than
-    `count` such tuples exist."""
+    `count` such tuples exist, and `ConsistencyError` when they would not
+    fit in memory."""
     limit = (math.perm if ordered else math.comb)(n_entities, width)
     if count > limit:
         raise InputError(
             f"cannot place {count} {what} on {n_entities} entities")
+    # each tuple holds at least `width` 8-byte references
+    refuse_beyond_memory(8 * width * count, f"{count} {what}")
     drawn: set[tuple[int, ...]] = set()
     while len(drawn) < count:
         ids = rng.integers(0, n_entities, size=width).tolist()

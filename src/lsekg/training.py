@@ -29,7 +29,8 @@ from lsekg.evaluation import evaluate
 # benchmark's spans find them under these names too
 from lsekg.models import (ModelKind, Parameters, RowGrads,  # noqa: F401
                           Workspace, _batch_energies, _batch_gradients,
-                          _blocks, _segment_sum, init_params)
+                          _blocks, _segment_sum, init_params,
+                          refuse_beyond_memory)
 from lsekg.sampling import NegativeSampler, SamplerConfig
 from lsekg.seeding import substream
 
@@ -231,13 +232,24 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
 
     Every step's forward pass, backward pass and update write into one
     `Workspace`, which the steps of this call share and which is dropped
-    when it returns.
+    when it returns. When a step's buffers or the model's tables would not
+    fit in physical memory, `ConsistencyError` is raised before either is
+    allocated.
     """
     kind = ModelKind(kind)
     vocab = dataset.vocabulary
+    n = len(dataset.train)
+    batch_size = min(config.batch_size, n)
+    k = config.sampler.negatives_per_positive
+    # each of a step's b * (1 + k) rows takes at least three rows of d in
+    # its buffers (a residual or relation contribution, and a head and a
+    # tail contribution), besides the (b, k, 3) negatives
+    refuse_beyond_memory(
+        8 * (3 * batch_size * (1 + k) * config.dim + 3 * batch_size * k),
+        f"training steps of {batch_size} positives, {k} negatives each, "
+        f"d={config.dim}")
     params = init_params(kind, vocab.n_e, vocab.n_r, config.dim, config.seed)
 
-    n = len(dataset.train)
     stats = compute_bernoulli_stats(dataset.train)
     train_filter = (build_filter_index([dataset.train], ["train"])
                     if config.sampler.filter_false_negatives else None)
@@ -246,8 +258,6 @@ def train(dataset: Dataset, kind: ModelKind, config: TrainConfig,
                                        ["train", "valid"])
                     if len(dataset.valid) else None)
     shuffle_rng = substream(config.seed, "shuffle")
-
-    batch_size = min(config.batch_size, n)
 
     def batches():
         """Minibatches of reshuffled epochs, none from an empty split."""

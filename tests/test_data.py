@@ -189,10 +189,10 @@ class TestBuildDataset:
             assert v.id_to_entity[i] == name
 
     def test_duplicates_dropped_with_warning(self):
-        with pytest.warns(UserWarning, match="1 duplicate"):
+        with pytest.warns(UserWarning, match=re.escape(
+                "split 'train': dropped 1 duplicate triples")):
             ds = build_dataset([("a", "r", "b"), ("a", "r", "b")])
         assert len(ds.train) == 1
-        assert ds.duplicates_dropped["train"] == 1
 
     def test_unseen_entities_flagged(self):
         with pytest.warns(UserWarning, match="only in valid/test"):
@@ -283,7 +283,6 @@ class TestBuildDatasetProperties:
             assert ids.dtype == np.int64 and ids.shape[1:] == (3,)
             assert ids.flags.c_contiguous
             assert ids.tolist() == expected.get(name, [])
-        assert ds.duplicates_dropped == dropped
         messages = sorted(str(w.message) for w in caught)
         assert messages == sorted(
             [f"split {name!r}: dropped {n} duplicate triples"
@@ -394,7 +393,6 @@ class TestFilterIndex:
                                   for _ in run]
         assert ids.tolist() == [x for run in runs for x in run.tolist()]
         assert any(not len(run) for run in runs)
-        assert idx.known_tails([], []) == [] == idx.known_heads([], [])
         query, ids = idx.known_tail_pairs([], [])
         assert len(query) == len(ids) == 0
 

@@ -1,25 +1,32 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
+import os
 import shutil
 import struct
 import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsekg
 from lsekg import InputError, cli
 from lsekg.cli import (_SAMPLER_KEYS, CONFIG_KEYS, _read_config_file,
                        _resolve_train_config, build_parser, main)
 from lsekg.data import build_dataset, detect_patterns, load_split
+from lsekg.evaluation import TIE_POLICIES
 from lsekg.synth import PATTERNS, generate
 from lsekg.models import ModelKind, Parameters
 from lsekg.training import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig,
-                            load_checkpoint, save_checkpoint)
+                            load_checkpoint, save_checkpoint,
+                            train as train_model)
 from test_acceptance import desk_config
 
 
@@ -146,7 +153,6 @@ class TestGenerateContract:
 
 
 def run_cli(*args, env=None, cwd=None):
-    import os
     full_env = dict(os.environ)
     # the child process imports the lsekg that these tests import
     full_env["PYTHONPATH"] = os.pathsep.join(
@@ -571,7 +577,7 @@ class TestCliExitCodes:
         code = main(list(argv))
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         return code
 
     def train(self, capsys, tmp_path, *flags):
@@ -732,6 +738,17 @@ class TestCliExitCodes:
                               "--dim", str(2**62),
                               "--out", str(tmp_path)) == 3
 
+    def test_step_larger_than_memory_exit_3(self, capsys, tmp_path):
+        # one positive's 10**10 negatives alone are 224 GiB of int64 ids,
+        # which numpy was asked for before the refusal
+        assert self.train(capsys, tmp_path, "--negatives", str(10**10)) == 3
+
+    def test_synth_larger_than_memory_exit_3(self, capsys, tmp_path):
+        # 2**40 edges of two 8-byte ids each were drawn one at a time
+        assert self.exit_code(capsys, "synth", "--pattern", "symmetric",
+                              "--entities", str(2**40), "--facts",
+                              str(2**40), "--out", str(tmp_path)) == 3
+
     def test_config_file_closed(self, tmp_path):
         config = tmp_path / "ok.conf"
         config.write_text("dim=4\n")
@@ -741,6 +758,190 @@ class TestCliExitCodes:
             gc.collect()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
+
+
+# the values of the exit-code sweep, good and bad. A size is small (at most
+# 64) or so large (2**40 and up) that it is refused before anything is
+# allocated, and `--max-steps` is at most 3. The `paper` profile is left
+# out: its 200-d, 1,024-negative steps are neither small nor refused
+_HUGE = str(2**40)
+_BAD_NUMBERS = ["x", "2.5", ""]
+_VALUES = {
+    "dim": (["1", "4", "64"], ["0", "-1", _HUGE, *_BAD_NUMBERS]),
+    "negatives": (["1", "8", "64"],
+                  ["0", "-3", _HUGE, str(10**10), *_BAD_NUMBERS]),
+    "batch_size": (["1", "8", "64", _HUGE], ["0", *_BAD_NUMBERS]),
+    "max_steps": (["0", "1", "3"], ["-1", "x"]),
+    "eval_every": (["0", "1", "2", _HUGE], ["-2", *_BAD_NUMBERS]),
+    "patience": (["0", "1", _HUGE], ["-1", *_BAD_NUMBERS]),
+    "seed": (["0", "7", str(2**70)], ["-1", *_BAD_NUMBERS]),
+    "learning_rate": (["0.1", "1e-3", "1e308"],
+                      ["0", "-1", "nan", "inf", "x"]),
+    "margin": (["6", "0.5", "1e308"], ["0", "-1", "nan", "-inf", "x"]),
+    "p": (["1", "2"], ["3", "x"]),
+    "loss": (["margin", "ce"], ["hinge"]),
+    "mode": (["bernoulli", "uniform"], ["x"]),
+    "normalize_entities": (["true", "0"], ["maybe"]),
+    "filter_false_negatives": (["yes", "false"], ["2"]),
+}
+_TRAIN_FLAGS = {"dim": "--dim", "negatives": "-k", "batch_size":
+                "--batch-size", "eval_every": "--eval-every", "patience":
+                "--patience", "seed": "--seed", "learning_rate": "--lr",
+                "margin": "--margin", "p": "--p", "loss": "--loss",
+                "mode": "--sampling-mode"}
+
+
+def _flag(good, bad=(), present=10):
+    """A flag's value, drawn from 20 chances: one of `bad` on one chance,
+    one of `good` on `present` less that one, and else None, the flag left
+    out."""
+    def pick(chance: int) -> st.SearchStrategy:
+        if chance == 0 and bad:
+            return st.sampled_from(bad)
+        return st.sampled_from(good) if chance < present else st.none()
+    return st.integers(0, 19).flatmap(pick)
+
+
+# lines of a `--config` file: mostly keys with their values, and now and
+# then an unknown key or a line that is no key=value at all
+_CONFIG_LINES = st.lists(_flag(
+    ["# a comment", "", " dim = 4 "], ["dim", "=4", "sampler=1"],
+    present=2).flatmap(lambda line: st.just(line) if line is not None
+                       else st.sampled_from(sorted(_VALUES)).flatmap(
+                           lambda key: _flag(*_VALUES[key], present=20)
+                           .map(f"{key}={{}}".format))),
+    max_size=3)
+
+_SPLITS = ["miscounted", "empty_field", "not_utf8", "unknown_name",
+           "repeated", "lse_d", "missing", "dir"]
+_CHECKPOINTS = ["lse", "lse_d", "transe", "distmult", "nan", "inf"]
+_BAD_CHECKPOINTS = ["truncated", "wide", "split", "missing", "dir"]
+_OUT = _flag(["out", "new_out"], ["below_a_file"], present=19)
+_COMMANDS = {
+    "train": {
+        "--model": _flag([k.value for k in ModelKind], ["x"], present=19),
+        "--data": _flag(["data"], ["dir", "missing", "split"], present=19),
+        "--train": _flag(["split"], _SPLITS, present=3),
+        "--valid": _flag(["split"], _SPLITS, present=3),
+        "--test": _flag(["split"], _SPLITS, present=3),
+        "--profile": _flag(["desk"], ["x"], present=3),
+        "--config": _flag(["config"], ["missing", "dir", "not_utf8"],
+                          present=6),
+        "--max-steps": _flag(*_VALUES["max_steps"], present=20),
+        # True: a flag that takes no value
+        "--normalize-entities": _flag([True], present=5),
+        "--filter-false-negatives": _flag([True], present=5),
+        **{flag: _flag(*_VALUES[key], present=4)
+           for key, flag in _TRAIN_FLAGS.items()},
+        "--out": _OUT},
+    "eval": {
+        "--checkpoint": _flag(_CHECKPOINTS, _BAD_CHECKPOINTS, present=19),
+        "--data": _flag(["data"], ["dir", "missing"], present=19),
+        "--test": _flag(["split"], _SPLITS, present=3),
+        "--filter-with": _flag(["train,valid,test", "test", ""],
+                               ["train,x"], present=5),
+        "--p": _flag(*_VALUES["p"], present=5),
+        "--tie-policy": _flag(TIE_POLICIES, ["x"], present=5),
+        "--threads": _flag(["1", "2", "64", _HUGE], ["0", "-1", "x"],
+                           present=5),
+        "--out": _OUT},
+    "synth": {
+        "--pattern": _flag(PATTERNS, ["x"], present=19),
+        "--entities": _flag(["3", "12", "64", _HUGE], ["0", "x"]),
+        "--facts": _flag(["1", "12", "64", _HUGE], ["0", "x"]),
+        "--holdout": _flag(["0.5", "0.2"], ["0", "1", "nan", "inf", "x"]),
+        "--seed": _flag(*_VALUES["seed"]),
+        "--out": _OUT},
+    "inspect": {
+        "--checkpoint": _flag(_CHECKPOINTS, _BAD_CHECKPOINTS, present=19),
+        "--data": _flag(["data"], ["dir", "missing"], present=19),
+        "--train": _flag(["split"], _SPLITS, present=3)},
+}
+# flags whose value names a file of `sweep_files`
+_PATH_FLAGS = {"--data", "--train", "--valid", "--test", "--config",
+               "--out", "--checkpoint"}
+
+
+@pytest.fixture(scope="module")
+def sweep_files(tmp_path_factory):
+    """Name -> path of every file and directory the sweep may pass: a tiny
+    `mixed` graph, one checkpoint per kind trained on it, and broken,
+    missing and unwritable variants."""
+    root = tmp_path_factory.mktemp("sweep")
+    generate("mixed", 12, 6, 0.5, seed=0).write(root / "data")
+    files = {"data": root / "data", "split": root / "data" / "train.txt",
+             "missing": root / "missing", "out": root / "out",
+             "new_out": root / "new" / "out",
+             "below_a_file": root / "file" / "x", "dir": root}
+    (root / "file").write_text("")
+    train = load_split(files["split"])
+    texts = {"miscounted": b"a\tb\n", "empty_field": b"a\t\tb\n",
+             "not_utf8": b"\xff\tr\tb\n",
+             "unknown_name": "nowhere\t{1}\t{2}\n".format(*train[0])
+             .encode(),
+             "repeated": files["split"].read_bytes() * 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        dataset = build_dataset(train)
+    for kind in ModelKind:
+        ckpt = train_model(dataset, kind, TrainConfig(
+            dim=3, max_steps=2, batch_size=8, eval_every=0))
+        files[kind.value] = root / f"{kind.value}.ckpt"
+        save_checkpoint(ckpt, files[kind.value])
+    # models of NaN and of infinite parameters
+    for value in (np.nan, np.inf):
+        ckpt.params.entities[:] = value
+        ckpt.params.relations[:] = value
+        files[str(value)] = root / f"{value}.ckpt"
+        save_checkpoint(ckpt, files[str(value)])
+    blob = files["lse_d"].read_bytes()
+    texts["truncated"] = blob[:len(blob) // 2]
+    texts["wide"] = blob.replace(b'"d": 3', f'"d": {_HUGE}'.encode(), 1
+                                 ).replace(b'"dim": 3',
+                                           f'"dim": {_HUGE}'.encode(), 1)
+    for name, text in texts.items():
+        files[name] = root / name
+        files[name].write_bytes(text)
+    files["config"] = root / "sweep.conf"
+    return files
+
+
+class TestCliExitCodeSweep:
+    """Argument vectors of the four subcommands, valid or not, exit 0, 2 or
+    3; a non-zero exit leaves one `error:` line and no traceback."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.sampled_from(list(_COMMANDS)).flatmap(
+        lambda command: st.tuples(
+            st.just(command), st.fixed_dictionaries(_COMMANDS[command]))),
+        _CONFIG_LINES)
+    def test_exits_0_2_or_3(self, sweep_files, command_flags, config_lines):
+        command, flags = command_flags
+        sweep_files["config"].write_text("".join(
+            line + "\n" for line in config_lines))
+        argv = [command]
+        for flag, value in flags.items():
+            if value is not None:
+                argv.append(flag)
+            if value is not None and value is not True:
+                argv.append(str(sweep_files[value]) if flag in _PATH_FLAGS
+                            else value)
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err), warnings.catch_warnings(),
+              mock.patch.dict(os.environ,
+                              {cli.OUTPUT_DIR_ENV: str(sweep_files["out"])})):
+            # a repeated line or a diverging run warns, as it should
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code:
+            assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def resolve(*argv):
